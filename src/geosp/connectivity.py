@@ -7,6 +7,7 @@ with the Dice coefficient over their edge sets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -19,6 +20,8 @@ from .mesh_io import FormatError, TriangleMesh
 def map_endpoint_to_vertex(point, mesh: TriangleMesh) -> int:
     """Nearest mesh vertex by Euclidean distance; ties go to the smallest index."""
     p = np.asarray(point, dtype=np.float64).reshape(3)
+    if not np.isfinite(p).all():
+        raise ValueError(f"fiber endpoint {p.tolist()} is not a finite point")
     d2 = np.einsum("ij,ij->i", mesh.vertices - p, mesh.vertices - p)
     return int(np.argmin(d2))
 
@@ -170,11 +173,12 @@ def load_fibers(path) -> list:
         if token.startswith("p:"):
             parts = token[2:].split(",")
             try:
-                if len(parts) != 3:
+                coords = [float(x) for x in parts]
+                if len(coords) != 3 or not all(map(math.isfinite, coords)):
                     raise ValueError
-                return np.array([float(x) for x in parts])
             except ValueError:
                 raise FormatError(path, no, f"bad point endpoint {token!r}") from None
+            return np.array(coords)
         raise FormatError(path, no, f"endpoint must start with 'v:' or 'p:', got {token!r}")
 
     fibers = []

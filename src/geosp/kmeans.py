@@ -4,7 +4,10 @@ Centroids are always graph vertices (medoids). Assignment uses multi-source
 geodesic distances; centroid updates solve all-pairs shortest paths on each
 cluster's induced subgraph and pick the vertex minimizing the distance sum.
 All tie-breaking is by smallest index (centroid list position for assignment,
-vertex index for medoids), which makes runs bit-reproducible.
+vertex index for medoids), which makes runs bit-reproducible. thread_map is
+the one place threads are started: the parcellator runs its region or
+hemisphere tasks through it, and a task's medoid updates use it with the
+workers left over.
 """
 from __future__ import annotations
 
@@ -43,8 +46,19 @@ class KmeansResult:
     converged_by_tolerance: bool
     last_shift_mm: float
     euclidean_fallbacks: int           # vertices ever assigned by the Euclidean fallback
-    repaired_clusters: int
     energy_history: list[float] = field(default_factory=list)
+
+
+def thread_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], with at most `workers` calls running at once.
+
+    Results come back in item order, so the output never depends on workers.
+    """
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def kmeanspp_init(graph: SurfaceGraph, k: int, rng_seed: int) -> list[int]:
@@ -127,22 +141,19 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
 
     For a disconnected cluster subgraph the medoid is taken on the component
     containing that cluster's previous centroid. Ties go to the smallest
-    vertex index. Clusters are processed independently (optionally in a
-    thread pool) and merged in cluster-id order, so output does not depend on
-    worker count.
+    vertex index. Clusters are processed independently (up to `workers` at
+    once, through thread_map) and merged in cluster-id order, so output does
+    not depend on worker count.
     """
     k = len(centroids)
     clusters = []
     for i in range(k):
         ids = np.flatnonzero(assignment == i)
         if len(ids) == 0:
-            raise ValueError(f"cluster {i} is empty; repair before recomputing centroids")
+            raise ValueError(f"cluster {i} is empty")
         clusters.append(ids)
-    if workers > 1 and k > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda args: _cluster_medoid(graph, *args),
-                                 zip(clusters, centroids)))
-    return [_cluster_medoid(graph, ids, prev) for ids, prev in zip(clusters, centroids)]
+    return thread_map(lambda args: _cluster_medoid(graph, *args),
+                      zip(clusters, centroids), workers)
 
 
 def max_centroid_shift_mm(old: list[int], new: list[int], graph: SurfaceGraph) -> float:
@@ -162,33 +173,6 @@ def stop_criterion(old_centroids: list[int], new_centroids: list[int],
     return iteration >= config.max_iterations
 
 
-def _repair_empty_clusters(graph: SurfaceGraph, centroids: list[int],
-                           assignment: np.ndarray):
-    """Reseat the centroid of any empty cluster at the vertex farthest from it.
-
-    Cannot occur after a normal assignment step (each centroid is its own
-    nearest centroid), but the loop stays safe under arbitrary inputs.
-    """
-    k = len(centroids)
-    repaired = 0
-    fallbacks = 0
-    dist = None
-    while True:
-        sizes = np.bincount(assignment, minlength=k)
-        empty = np.flatnonzero(sizes == 0)
-        if len(empty) == 0:
-            return centroids, assignment, repaired, fallbacks, dist
-        taken = set(centroids)
-        for i in empty:
-            score = sssp(graph, centroids[i]).dist.copy()
-            score[list(taken)] = -1.0  # keep centroids distinct
-            new_c = int(np.argmax(score))  # inf (unreachable) counts as farthest
-            taken.add(new_c)
-            centroids[int(i)] = new_c
-            repaired += 1
-        assignment, fallbacks, dist = _assign(graph, centroids)
-
-
 def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
                     workers: int = 1) -> KmeansResult:
     """Full clustering loop: seed, then alternate assignment and medoid updates
@@ -204,11 +188,10 @@ def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
     if config.k == 1:
         return KmeansResult(groups=[np.arange(n)], assignment=np.zeros(n, dtype=np.int64),
                             centroids=[], iterations=0, converged_by_tolerance=False,
-                            last_shift_mm=0.0, euclidean_fallbacks=0, repaired_clusters=0)
+                            last_shift_mm=0.0, euclidean_fallbacks=0)
 
     centroids = kmeanspp_init(graph, config.k, config.rng_seed)
     total_fallbacks = 0
-    total_repaired = 0
     energy: list[float] = []
     iteration = 0
     shift = float("inf")
@@ -216,12 +199,11 @@ def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
     assignment = None
     for iteration in range(1, config.max_iterations + 1):
         assignment, fallbacks, dist = _assign(graph, centroids)
-        centroids, assignment, repaired, re_fallbacks, re_dist = _repair_empty_clusters(
-            graph, centroids, assignment)
-        if repaired:
-            fallbacks, dist = re_fallbacks, re_dist
+        # Each centroid is at distance 0 from itself and every edge weight is
+        # positive, so no other centroid can claim it: no cluster is empty.
+        if not np.bincount(assignment, minlength=config.k).all():
+            raise AssertionError("assignment left a cluster empty")
         total_fallbacks += fallbacks
-        total_repaired += repaired
         energy.append(float(dist[np.isfinite(dist)].sum()))
 
         new_centroids = comp_centroids(graph, assignment, centroids, workers=workers)
@@ -236,4 +218,4 @@ def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
                         iterations=iteration,
                         converged_by_tolerance=shift < config.convergence_tolerance_mm,
                         last_shift_mm=shift, euclidean_fallbacks=total_fallbacks,
-                        repaired_clusters=total_repaired, energy_history=energy)
+                        energy_history=energy)

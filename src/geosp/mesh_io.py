@@ -7,6 +7,7 @@ integer per line with LF terminators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,8 @@ class TriangleMesh:
         self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         if len(self.vertices) == 0:
             raise ValueError("mesh must have at least one vertex")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         if self.triangles.size:
             if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
                 raise ValueError("triangle vertex index out of range")
@@ -77,6 +80,18 @@ def _parse_face_tokens(path, no, tokens, vertex_count):
     return i, j, k
 
 
+def _reject_non_finite(path, vertices: np.ndarray, vertex_lines) -> None:
+    """Raise FormatError at the first vertex with a nan or inf coordinate.
+
+    vertex_lines holds (line number, line) per vertex row; it is read only
+    when such a vertex exists, so finite meshes pay one vectorised check.
+    """
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if len(bad):
+        no, line = next(islice(vertex_lines, int(bad[0]), None))
+        raise FormatError(path, no, f"non-finite vertex coordinates: {line!r}")
+
+
 def _load_off(path: Path, text: str) -> TriangleMesh:
     lines = _significant_lines(text)
     try:
@@ -108,6 +123,7 @@ def _load_off(path: Path, text: str) -> TriangleMesh:
             vertices[row] = [float(p) for p in parts]
         except ValueError:
             raise FormatError(path, no, f"expected 'x y z' coordinates, got {line!r}") from None
+    _reject_non_finite(path, vertices, islice(_significant_lines(text), 2, None))
 
     triangles = np.empty((nf, 3), dtype=np.int64)
     for row in range(nf):
@@ -199,6 +215,7 @@ def _load_ply(path: Path, text: str) -> TriangleMesh:
             vertices[row] = [float(parts[c]) for c in coord_cols]
         except ValueError:
             raise FormatError(path, no, f"bad vertex coordinates: {line!r}") from None
+    _reject_non_finite(path, vertices, body)
 
     triangles = np.empty((nf, 3), dtype=np.int64)
     for row in range(nf):

@@ -1,20 +1,19 @@
 """Atlas-mode and whole-mode orchestration producing a global Parcellation.
 
-Atlas mode runs one k-means per labeled region as independent parallel tasks;
-whole mode runs one k-means per hemisphere. Each task draws its RNG seed from
-the base seed XOR a hash of its region id, so results never depend on worker
-count, scheduling, or which other regions are in the plan.
+Atlas mode runs one k-means per labeled region, whole mode one per
+hemisphere; in both, `workers` bounds the threads that run at once. Each task draws its RNG seed from the base seed XOR a hash of its region id,
+so results never depend on worker count, scheduling, or which other regions
+are in the plan.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .kmeans import KmeansConfig, parallel_kmeans
+from .kmeans import KmeansConfig, parallel_kmeans, thread_map
 from .mesh_io import TriangleMesh
 from .surface_graph import build_graph, extract_region_subgraph
 from .util import derive_seed
@@ -117,19 +116,23 @@ class ParcellationResult:
         }
 
 
-def _run_tasks(graph, labels, tasks, config, pool_workers, inner_workers):
-    """Run (region, k) clustering tasks; returns per-task (groups, RegionRun).
+def _run_tasks(graph, labels, tasks, config, workers):
+    """Run (region, k) clustering tasks on at most `workers` threads; returns
+    per-task (groups, RegionRun).
 
-    Tasks are pure and merged in task order, so any pool size gives the same
-    result.
+    Up to `workers` tasks run at once, and each task's medoid updates get the
+    workers left over (workers // tasks, at least 1), so no more than
+    `workers` threads ever run. Tasks are pure and merged in task order, so
+    any pool size gives the same result.
     """
+    inner = max(1, workers // len(tasks))
 
     def one(task):
         region, k = task
         sub, idmap = extract_region_subgraph(graph, labels, region)
         cfg = replace(config, k=k, rng_seed=derive_seed(config.rng_seed, region))
         t0 = time.perf_counter()
-        res = parallel_kmeans(sub, cfg, workers=inner_workers)
+        res = parallel_kmeans(sub, cfg, workers=inner)
         dt = time.perf_counter() - t0
         groups = [idmap[g] for g in res.groups]
         return groups, RegionRun(region=region, k=k, vertex_count=len(idmap),
@@ -137,10 +140,7 @@ def _run_tasks(graph, labels, tasks, config, pool_workers, inner_workers):
                                  converged_by_tolerance=res.converged_by_tolerance,
                                  euclidean_fallbacks=res.euclidean_fallbacks, seconds=dt)
 
-    if pool_workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=pool_workers) as pool:
-            return list(pool.map(one, tasks))
-    return [one(t) for t in tasks]
+    return thread_map(one, tasks, workers)
 
 
 def _assemble(vertex_count: int, outputs) -> Parcellation:
@@ -187,8 +187,7 @@ def parcellate_atlas_mode(mesh: TriangleMesh, labels, plan: AtlasPlan,
 
     tasks = [(region, plan.k_by_region[region]) for region in present]
     t0 = time.perf_counter()
-    results = _run_tasks(graph, labels, tasks, config,
-                         pool_workers=workers, inner_workers=1)
+    results = _run_tasks(graph, labels, tasks, config, workers)
     total = time.perf_counter() - t0
     parcellation = _assemble(mesh.vertex_count, list(zip(tasks, results)))
     return ParcellationResult(parcellation, [r for _g, r in results], total)
@@ -199,9 +198,9 @@ def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
                           workers: int = 1) -> ParcellationResult:
     """Subdivide each hemisphere graph into k sub-parcels, ignoring any atlas.
 
-    hemisphere_labels must carry one or two distinct labels. Parallelism runs
-    inside each hemisphere's centroid updates; total sub-parcels = k * number
-    of hemispheres.
+    hemisphere_labels must carry one or two distinct labels. With workers > 1
+    the hemispheres run at once, and workers beyond one per hemisphere go to
+    the medoid updates; total sub-parcels = k * number of hemispheres.
     """
     hemis = np.asarray(hemisphere_labels, dtype=np.int64)
     if len(hemis) != mesh.vertex_count:
@@ -218,10 +217,7 @@ def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
 
     tasks = [(h, k) for h in present]
     t0 = time.perf_counter()
-    # One task per hemisphere; the requested parallelism goes to the
-    # per-cluster centroid updates inside each task.
-    results = _run_tasks(graph, hemis, tasks, config,
-                         pool_workers=min(len(tasks), workers), inner_workers=workers)
+    results = _run_tasks(graph, hemis, tasks, config, workers)
     total = time.perf_counter() - t0
     parcellation = _assemble(mesh.vertex_count, list(zip(tasks, results)))
     return ParcellationResult(parcellation, [r for _g, r in results], total)

@@ -7,7 +7,7 @@ geodesic distance along the surface rather than straight-line distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ class SurfaceGraph:
             raise ValueError("edge endpoint out of range")
         if np.any(u == v):
             raise ValueError("self-loops are not allowed")
-        if np.any(w <= 0):
+        if not np.all(w > 0):  # also refuses NaN
             raise ValueError("edge weights must be positive")
 
         lo = np.minimum(u, v)
@@ -62,7 +62,7 @@ class SurfaceGraph:
         self.neighbor_weights = dw[idx]
         self.positions = positions
         self.vertex_count = n
-        self._flat = None
+        self._adj = None
 
     @property
     def edge_count(self) -> int:
@@ -76,20 +76,21 @@ class SurfaceGraph:
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return self.neighbor_indices[lo:hi], self.neighbor_weights[lo:hi]
 
-    def adjacency_list(self) -> list[list[tuple[int, float]]]:
-        out = []
-        for u in range(self.vertex_count):
-            nbrs, wts = self.neighbors(u)
-            out.append([(int(a), float(b)) for a, b in zip(nbrs, wts)])
-        return out
+    def _adjacency(self) -> tuple[list[list[int]], list[list[float]]]:
+        # Per-vertex neighbor and weight lists: the Dijkstra loop zips these
+        # faster than it indexes numpy arrays or flat CSR lists. Neighbor
+        # lists share one int object per vertex, so the cache stays about as
+        # small as flat lists.
+        if self._adj is None:
+            ends = self.indptr.tolist()
+            ids = list(range(self.vertex_count))
 
-    def _flat_adjacency(self):
-        # Python lists beat repeated numpy scalar indexing in the Dijkstra loop.
-        if self._flat is None:
-            self._flat = (self.indptr.tolist(),
-                          self.neighbor_indices.tolist(),
-                          self.neighbor_weights.tolist())
-        return self._flat
+            def per_vertex(flat):
+                return [flat[a:b] for a, b in zip(ends[:-1], ends[1:])]
+
+            self._adj = (per_vertex(list(map(ids.__getitem__, self.neighbor_indices.tolist()))),
+                         per_vertex(self.neighbor_weights.tolist()))
+        return self._adj
 
 
 @dataclass
@@ -149,34 +150,12 @@ def extract_region_subgraph(graph: SurfaceGraph, labels,
     return induced_subgraph(graph, ids), ids
 
 
-def sssp(graph: SurfaceGraph, source: int) -> DistanceField:
-    """Exact single-source shortest paths (Dijkstra on a binary heap)."""
-    n = graph.vertex_count
-    source = int(source)
-    if not 0 <= source < n:
-        raise ValueError(f"source vertex {source} out of range [0, {n})")
-    indptr, nbrs, wts = graph._flat_adjacency()
-    dist = [UNREACHABLE] * n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        for j in range(indptr[u], indptr[u + 1]):
-            v = nbrs[j]
-            nd = d + wts[j]
-            if nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return DistanceField((source,), np.asarray(dist))
+def _dijkstra(graph: SurfaceGraph, sources) -> tuple[list[float], list[int]]:
+    """Heap Dijkstra from one or more sources, the one shortest-path loop.
 
-
-def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
-    """Per-vertex minimum geodesic distance over several sources.
-
-    nearest_source holds the winning source vertex; exact distance ties go to
-    the source earliest in the `sources` list.
+    Returns per-vertex (dist, pos): the minimum distance over the sources and
+    the position in `sources` of the source achieving it (-1 where
+    unreachable); exact distance ties go to the earlier position.
     """
     n = graph.vertex_count
     src = [int(s) for s in sources]
@@ -188,28 +167,48 @@ def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
         if not 0 <= s < n:
             raise ValueError(f"source vertex {s} out of range [0, {n})")
 
-    indptr, nbrs, wts = graph._flat_adjacency()
+    adj_nbrs, adj_wts = graph._adjacency()
     dist = [UNREACHABLE] * n
-    pos = [-1] * n  # winning source's position in the sources list
+    pos = [-1] * n
     heap = []
     for p, s in enumerate(src):
         dist[s] = 0.0
         pos[s] = p
-        heappush(heap, (0.0, p, s))
+        heap.append((0.0, s))
+    heapify(heap)
     while heap:
-        d, p, u = heappop(heap)
-        if d > dist[u] or (d == dist[u] and p > pos[u]):
+        d, u = heappop(heap)
+        if d > dist[u]:
             continue
-        for j in range(indptr[u], indptr[u + 1]):
-            v = nbrs[j]
-            nd = d + wts[j]
-            if nd < dist[v] or (nd == dist[v] and p < pos[v]):
+        # Weights are positive, so every vertex that can lower u's distance or
+        # tie it from an earlier source was popped before u: pos[u] is final.
+        p = pos[u]
+        for v, w in zip(adj_nbrs[u], adj_wts[u]):
+            nd = d + w
+            # An edge that does not improve v costs a single comparison.
+            if nd <= dist[v] and (nd < dist[v] or p < pos[v]):
                 dist[v] = nd
                 pos[v] = p
-                heappush(heap, (nd, p, v))
+                heappush(heap, (nd, v))
+    return dist, pos
 
+
+def sssp(graph: SurfaceGraph, source: int) -> DistanceField:
+    """Exact single-source shortest paths (Dijkstra on a binary heap)."""
+    dist, _pos = _dijkstra(graph, [source])
+    return DistanceField((int(source),), np.asarray(dist))
+
+
+def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
+    """Per-vertex minimum geodesic distance over several sources.
+
+    nearest_source holds the winning source vertex; exact distance ties go to
+    the source earliest in the `sources` list.
+    """
+    src = [int(s) for s in sources]
+    dist, pos = _dijkstra(graph, src)
     pos_arr = np.asarray(pos)
-    nearest = np.full(n, -1, dtype=np.int64)
+    nearest = np.full(graph.vertex_count, -1, dtype=np.int64)
     reached = pos_arr >= 0
     nearest[reached] = np.asarray(src)[pos_arr[reached]]
     return DistanceField(tuple(src), np.asarray(dist), nearest)

@@ -127,6 +127,18 @@ def test_connectivity_and_dice_pipeline(tmp_path):
     assert "mean 1.0000" in lines
 
 
+def test_connectivity_rejects_non_finite_point(tmp_path, capsys):
+    synth = _synth_atlas(tmp_path)
+    fibers = tmp_path / "fibers.txt"
+    fibers.write_text("p:nan,0,0 p:inf,1,1\nv:0 v:5\n")
+    out = tmp_path / "conn"
+    assert run(["connectivity", "--mesh", str(synth / "mesh.off"),
+                "--parcellation", str(synth / "labels.txt"),
+                "--fibers", str(fibers), "--out", str(out)]) == 1
+    assert f"{fibers}:1:" in capsys.readouterr().err
+    assert not (out / "counts.txt").exists()
+
+
 def test_workers_flag_identical_bytes(tmp_path):
     synth = _synth_atlas(tmp_path)
     outputs = []

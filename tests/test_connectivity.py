@@ -31,6 +31,12 @@ def test_endpoint_tie_goes_to_smaller_index():
     assert map_endpoint_to_vertex(midpoint, mesh) == 3
 
 
+@pytest.mark.parametrize("point", [(np.nan, 0, 0), (np.inf, 1, 1)])
+def test_endpoint_rejects_non_finite_point(point):
+    with pytest.raises(ValueError, match="finite"):
+        map_endpoint_to_vertex(point, grid_mesh(4, 4))
+
+
 def test_endpoint_matches_linear_scan():
     mesh = grid_mesh(8, 8)
     rng = np.random.default_rng(0)
@@ -235,6 +241,8 @@ def test_fiber_roundtrip(tmp_path):
     ("v:0 w:1\n", 1),
     ("v:0 p:1,2\n", 1),
     ("v:x v:1\n", 1),
+    ("v:0 v:1\np:nan,0,0 v:5\n", 2),
+    ("v:0 p:inf,1,1\n", 1),
 ])
 def test_fiber_parse_errors(tmp_path, text, line):
     p = tmp_path / "bad.txt"

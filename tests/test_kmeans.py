@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from geosp import (KmeansConfig, bridge_graph, build_graph, calc_groups,
                    comp_centroids, dumbbell_mesh, kmeanspp_init, multi_source_sssp,
                    parallel_kmeans, perturb_weights, sssp, stop_criterion)
-from geosp.kmeans import _repair_empty_clusters, max_centroid_shift_mm
+from geosp.kmeans import max_centroid_shift_mm
 from geosp.oracles import oracle_medoid, oracle_sssp
 from geosp.surface_graph import SurfaceGraph
 
@@ -306,18 +306,6 @@ def test_groups_connected_under_perturbed_weights():
                             nxt.add(v)
                 frontier = nxt
             assert seen == members
-
-
-def test_repair_empty_clusters():
-    g = path_graph(8)
-    centroids = [0, 1]
-    assignment = np.zeros(8, dtype=int)  # cluster 1 artificially empty
-    fixed_centroids, fixed_assignment, repaired, _fb, _d = _repair_empty_clusters(
-        g, centroids, assignment)
-    assert repaired == 1
-    assert len(set(fixed_centroids)) == 2
-    assert fixed_centroids[1] == 7  # farthest vertex from old centroid 1
-    assert set(np.unique(fixed_assignment).tolist()) == {0, 1}
 
 
 def test_energy_history_recorded():

@@ -72,6 +72,7 @@ def test_binary_ply_rejected(tmp_path):
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", 6, "out of range"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", 6, "repeats"),
     ("OFF\n3 1 0\n0 0 x\n1 0 0\n0 1 0\n3 0 1 2\n", 3, "coordinates"),
+    ("OFF\n3 1 0\n0 0 0\n# comment\nnan 0 0\n0 1 0\n3 0 1 2\n", 5, "non-finite"),
 ])
 def test_off_errors_carry_line_numbers(tmp_path, text, line, msg):
     p = tmp_path / "bad.off"
@@ -80,6 +81,20 @@ def test_off_errors_carry_line_numbers(tmp_path, text, line, msg):
         load_mesh(p)
     assert err.value.line_no == line
     assert msg.lower() in str(err.value).lower()
+
+
+def test_ply_non_finite_coordinate_reports_line(tmp_path):
+    p = tmp_path / "inf.ply"
+    p.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+        "0 0 0\n1 0 0\n0 inf 0\n"
+        "3 0 1 2\n")
+    with pytest.raises(FormatError) as err:
+        load_mesh(p)
+    assert err.value.line_no == 12
+    assert "non-finite" in str(err.value)
 
 
 def test_unknown_format_rejected(tmp_path):
@@ -94,6 +109,8 @@ def test_mesh_invariants_checked():
         TriangleMesh(np.zeros((2, 3)), np.array([[0, 1, 2]]))
     with pytest.raises(ValueError):
         TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 1]]))
+    with pytest.raises(ValueError, match="finite"):
+        TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, np.nan, 0]]), np.array([[0, 1, 2]]))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,39 @@ def test_whole_mode_deterministic_rerun():
     a = parcellate_whole_mode(mesh, hemis, 4, config)
     b = parcellate_whole_mode(mesh, hemis, 4, config, workers=4)
     np.testing.assert_array_equal(a.parcellation.sub_parcel, b.parcellation.sub_parcel)
+
+
+def _peak_extra_threads(run) -> int:
+    """Most threads alive at once during run(), beyond those alive before."""
+    baseline = threading.active_count()
+    peak = baseline
+    done = threading.Event()
+
+    def watch():
+        nonlocal peak
+        while not done.is_set():
+            peak = max(peak, threading.active_count())
+            done.wait(0.001)
+
+    watcher = threading.Thread(target=watch)
+    watcher.start()
+    try:
+        run()
+    finally:
+        done.set()
+        watcher.join(timeout=10)
+    assert not watcher.is_alive()
+    return peak - baseline - 1  # minus the watcher
+
+
+def test_whole_mode_runs_at_most_workers_threads():
+    mesh, _regions, hemis = atlas_mesh(40, 42)
+    # Two hemispheres: one thread each, none left over for medoid updates.
+    assert _peak_extra_threads(lambda: parcellate_whole_mode(mesh, hemis, 10, workers=2)) <= 2
+    # One hemisphere: both workers go to its medoid updates.
+    grid = grid_mesh(40, 42)
+    single = np.zeros(grid.vertex_count, dtype=np.int64)
+    assert _peak_extra_threads(lambda: parcellate_whole_mode(grid, single, 10, workers=2)) == 2
 
 
 def test_whole_mode_k_exceeds_hemisphere():

@@ -55,6 +55,8 @@ def test_graph_rejects_bad_edges():
         SurfaceGraph(pos, [0], [1], [0.0])
     with pytest.raises(ValueError, match="duplicate"):
         SurfaceGraph(pos, [0, 1], [1, 0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="positive"):
+        SurfaceGraph(pos, [0, 1], [1, 2], [1.0, np.nan])
 
 
 def test_adjacency_symmetric():
