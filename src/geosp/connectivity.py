@@ -8,31 +8,207 @@ with the Dice coefficient over their edge sets.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
 
 from .mesh_io import FormatError, TriangleMesh
 
+# Blocks keep the temporaries near 1 MB: endpoints whose grid cells are
+# looked up together, and about how many (endpoint, vertex) distances one
+# step computes.
+_ENDPOINT_BLOCK = 1024
+_DISTANCE_BLOCK = 1 << 14
+# A grid hit is exact when its squared distance is below cell² by this relative
+# margin; it covers the rounding of the cell coordinates and of the distances.
+_EXACT_MARGIN = 1e-6
+_MAX_CELLS_PER_AXIS = 1 << 20  # keeps cell keys far inside int64
+_SAMPLED_TRIANGLES = 4096
 
-def map_endpoint_to_vertex(point, mesh: TriangleMesh) -> int:
-    """Nearest mesh vertex by Euclidean distance; ties go to the smallest index."""
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    if not np.isfinite(p).all():
-        raise ValueError(f"fiber endpoint {p.tolist()} is not a finite point")
-    d2 = np.einsum("ij,ij->i", mesh.vertices - p, mesh.vertices - p)
-    return int(np.argmin(d2))
+
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """Row-wise squared length of an (n, 3) difference array: the one distance formula."""
+    return np.einsum("ij,ij->i", d, d)
 
 
-def _endpoint_vertex(endpoint, mesh: TriangleMesh) -> int:
-    if np.isscalar(endpoint) or isinstance(endpoint, (int, np.integer)):
-        v = int(endpoint)
-        if not 0 <= v < mesh.vertex_count:
-            raise ValueError(f"fiber endpoint vertex {v} out of range")
-        return v
-    return map_endpoint_to_vertex(endpoint, mesh)
+def _cell_size(mesh: TriangleMesh) -> float:
+    """About the mean vertex spacing: the mean edge length of up to ~4k triangles.
+
+    The cell size sets only the speed of snapping, never its result, so a
+    strided sample of the triangles is enough and keeps the temporaries small.
+    """
+    v, t = mesh.vertices, mesh.triangles
+    t = t[::max(1, len(t) // _SAMPLED_TRIANGLES)]
+    h = 0.0
+    if len(t):
+        edges = (v[t] - v[np.roll(t, 1, axis=1)]).reshape(-1, 3)
+        h = float(np.sqrt(_squared_norms(edges)).mean())
+    h = max(h, float(np.ptp(v, axis=0).max()) / _MAX_CELLS_PER_AXIS)
+    return h if h > 0 else 1.0
+
+
+class _VertexGrid:
+    """Mesh vertices bucketed into cubic cells of side `h`, sorted by cell key."""
+
+    def __init__(self, vertices: np.ndarray, h: float):
+        self.vertices = vertices
+        self.h = h
+        self.lo = vertices.min(axis=0)
+        cells = vertices - self.lo
+        cells /= h
+        cells = np.floor(cells, out=cells).astype(np.int64)
+        self.dims = cells.max(axis=0) + 1
+        key = self._key(cells[:, 0], cells[:, 1], cells[:, 2])
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
+
+    def _key(self, x, y, z):
+        return (x * self.dims[1] + y) * self.dims[2] + z
+
+    def ranges(self, points: np.ndarray):
+        """(b, 9) start offsets into `order` and counts: the 3x3x3 cells around each point.
+
+        The three cells of a z column have consecutive keys, so each of the 9
+        (x, y) columns is one contiguous range.
+        """
+        c = np.floor((points - self.lo) / self.h)
+        # A cell coordinate below -1 or above dims has only empty neighbours on that
+        # axis, so clipping to [-2, dims + 1] changes no range and keeps far points'
+        # coordinates small.
+        c = np.clip(c, -2, self.dims + 1).astype(np.int64)
+        offsets = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+        x = c[:, 0:1] + offsets[:, 0]
+        y = c[:, 1:2] + offsets[:, 1]
+        z0 = np.maximum(c[:, 2:3] - 1, 0)
+        z1 = np.minimum(c[:, 2:3] + 1, self.dims[2] - 1)
+        inside = (x >= 0) & (x < self.dims[0]) & (y >= 0) & (y < self.dims[1]) & (z0 <= z1)
+        start = np.searchsorted(self.keys, self._key(x, y, z0), side="left")
+        stop = np.searchsorted(self.keys, self._key(x, y, z1), side="right")
+        return start, np.where(inside, stop - start, 0)
+
+    def nearest(self, points: np.ndarray, start: np.ndarray, count: np.ndarray):
+        """Nearest candidate of each point (-1 where none is provably nearest overall)."""
+        result = np.full(len(points), -1, dtype=np.int64)
+        per_point = count.sum(axis=1)
+        hit = per_point > 0
+        if not hit.any():
+            return result
+        count = count.ravel()
+        first = np.cumsum(count) - count
+        vertex = self.order[np.repeat(start.ravel() - first, count) + np.arange(int(count.sum()))]
+        diff = self.vertices[vertex]
+        diff -= points[np.repeat(np.arange(len(points)), per_point)]
+        d2 = _squared_norms(diff)
+        seg = (np.cumsum(per_point) - per_point)[hit]
+        best = np.minimum.reduceat(d2, seg)
+        rank = np.repeat(np.arange(len(seg)), per_point[hit])
+        # Smallest vertex index among the candidates at the best distance.
+        win = np.minimum.reduceat(np.where(d2 == best[rank], vertex, len(self.vertices)), seg)
+        exact = best <= self.h * self.h * (1 - _EXACT_MARGIN)
+        result[np.flatnonzero(hit)[exact]] = win[exact]
+        return result
+
+    def snap(self, points: np.ndarray) -> np.ndarray:
+        """`nearest` over all points, in blocks of endpoints and of distances."""
+        out = np.empty(len(points), dtype=np.int64)
+        for s in range(0, len(points), _ENDPOINT_BLOCK):
+            block = points[s:s + _ENDPOINT_BLOCK]
+            start, count = self.ranges(block)
+            per_point = count.sum(axis=1)
+            piece = (np.cumsum(per_point) - per_point) // _DISTANCE_BLOCK
+            cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1), len(block)]
+            for a, b in zip(cuts, cuts[1:]):
+                out[s + a:s + b] = self.nearest(block[a:b], start[a:b], count[a:b])
+        return out
+
+
+def map_endpoint_to_vertex(point, mesh: TriangleMesh):
+    """Nearest mesh vertex by Euclidean distance; ties go to the smallest index.
+
+    `point` is one 3D point (returns an int) or an (M, 3) array of points
+    (returns an (M,) int64 array). Points are bucketed into a uniform grid over
+    the vertices whose cell is the mean triangle edge length, and each point
+    looks at the 27 cells around its own. That answer is exact when its
+    squared distance is below cell² (less a rounding margin): every vertex
+    outside those cells is at least one cell away. Points that fail the check
+    are searched again on a grid with twice the cell, and so on until the grid
+    spans at most 3 cells per axis; what is left (points farther from the mesh
+    than about a third of its extent) gets a brute-force `argmin` over all
+    vertices, in blocks. All paths compute squared distances with the same
+    expression and resolve ties to the smallest index, so the result is the
+    full scan's, bit for bit. Cost: O(N log N) per grid level built, then
+    about the vertices of 27 cells per point; a point at distance d from the
+    mesh needs about log2(d / cell) levels, and one that falls through costs
+    O(N).
+    """
+    points = np.asarray(point, dtype=np.float64)
+    single = points.ndim != 2
+    if single:
+        points = points.reshape(1, 3)
+    if points.shape[1] != 3:
+        raise ValueError(f"fiber endpoints must be 3D points, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"fiber endpoint {points[np.argmin(finite)].tolist()} is not a finite point")
+
+    nearest = np.full(len(points), -1, dtype=np.int64)
+    pending = np.arange(len(points))
+    h = _cell_size(mesh)
+    while len(pending):
+        grid = _VertexGrid(mesh.vertices, h)
+        nearest[pending] = grid.snap(points[pending])
+        pending = pending[nearest[pending] < 0]
+        if grid.dims.max() <= 3:  # 27 cells hold every vertex: a coarser grid finds no more
+            break
+        h *= 2
+
+    rows = max(1, _DISTANCE_BLOCK // mesh.vertex_count)
+    for s in range(0, len(pending), rows):
+        idx = pending[s:s + rows]
+        d2 = _squared_norms((mesh.vertices - points[idx, None]).reshape(-1, 3))
+        nearest[idx] = np.argmin(d2.reshape(len(idx), -1), axis=1)
+    return int(nearest[0]) if single else nearest
+
+
+def _endpoint_vertices(fibers, mesh: TriangleMesh) -> np.ndarray:
+    """(2F,) int64 vertex of every endpoint, in fiber order: a, b of fiber 0, then fiber 1, ..."""
+    fibers = list(fibers)
+    sizes = np.fromiter(map(len, fibers), dtype=np.int64, count=len(fibers))
+    if np.any(sizes != 2):
+        f = int(np.flatnonzero(sizes != 2)[0])
+        raise ValueError(f"fiber {f} has {sizes[f]} endpoints, expected 2")
+    ends = np.fromiter(chain.from_iterable(fibers), dtype=object, count=2 * len(fibers))
+    kinds = list(map(type, ends))
+    code_of = {kind: code for code, kind in enumerate(set(kinds))}
+    codes = (np.fromiter(map(code_of.__getitem__, kinds), dtype=np.int64, count=len(kinds))
+             if len(code_of) > 1 else np.zeros(len(kinds), dtype=np.int64))
+    vertex = np.zeros(len(ends), dtype=np.int64)
+    is_point = np.zeros(len(ends), dtype=bool)
+    for kind, code in code_of.items():  # one step per endpoint type, not per endpoint
+        mask = codes == code
+        if issubclass(kind, (bool, np.bool_)):
+            raise ValueError(f"fiber endpoint {ends[mask][0]!r} is a bool, not a vertex index")
+        if issubclass(kind, numbers.Integral):
+            ids = ends[mask]  # Python ints of any size: range-checked before the cast
+        elif issubclass(kind, numbers.Real):
+            ids = ends[mask].astype(np.float64)
+            bad = ~np.isfinite(ids) | (ids != np.trunc(ids))
+            if bad.any():
+                raise ValueError(f"fiber endpoint {ends[mask][bad][0]!r} is not an integer vertex index")
+        else:
+            is_point |= mask
+            continue
+        outside = (ids < 0) | (ids >= mesh.vertex_count)
+        if outside.any():
+            raise ValueError(f"fiber endpoint vertex {ends[mask][outside][0]} out of range")
+        vertex[mask] = ids.astype(np.int64)
+    if is_point.any():
+        points = np.array(ends[is_point].tolist(), dtype=np.float64).reshape(int(is_point.sum()), -1)
+        vertex[is_point] = map_endpoint_to_vertex(points, mesh)
+    return vertex
 
 
 def build_connectivity_matrix(fibers, parcellation, mesh: TriangleMesh) -> np.ndarray:
@@ -42,18 +218,25 @@ def build_connectivity_matrix(fibers, parcellation, mesh: TriangleMesh) -> np.nd
     the sub-parcels of its endpoints; self-connections land on the diagonal
     once. The upper triangle (diagonal included) therefore sums to the fiber
     count.
+
+    An endpoint is a vertex index (an integer; integral floats are accepted,
+    bools and fractions are not) or a 3D point. Vertex endpoints are checked
+    all at once, all point endpoints are snapped in one
+    `map_endpoint_to_vertex` call, and the cells are counted with one
+    `np.bincount` and then mirrored. Negative sub-parcel ids are rejected.
     """
     sub = np.asarray(getattr(parcellation, "sub_parcel", parcellation), dtype=np.int64)
     if len(sub) != mesh.vertex_count:
         raise ValueError(f"parcellation length {len(sub)} != vertex count {mesh.vertex_count}")
-    n_parcels = int(sub.max()) + 1 if len(sub) else 0
-    counts = np.zeros((n_parcels, n_parcels), dtype=np.int64)
-    for a, b in fibers:
-        p = sub[_endpoint_vertex(a, mesh)]
-        q = sub[_endpoint_vertex(b, mesh)]
-        counts[p, q] += 1
-        if p != q:
-            counts[q, p] += 1
+    if sub.min() < 0:
+        v = int(np.argmin(sub))
+        raise ValueError(f"parcellation has negative sub-parcel id {sub[v]} at vertex {v}")
+    n_parcels = int(sub.max()) + 1
+    parcels = sub[_endpoint_vertices(fibers, mesh)]
+    cells = np.bincount(parcels[0::2] * n_parcels + parcels[1::2],
+                        minlength=n_parcels * n_parcels).reshape(n_parcels, n_parcels)
+    counts = cells + cells.T
+    counts[np.diag_indices(n_parcels)] = np.diag(cells)  # a self-connection counts once
     return counts
 
 

@@ -139,6 +139,18 @@ def test_connectivity_rejects_non_finite_point(tmp_path, capsys):
     assert not (out / "counts.txt").exists()
 
 
+def test_connectivity_rejects_out_of_range_vertex(tmp_path, capsys):
+    synth = _synth_atlas(tmp_path)
+    fibers = tmp_path / "fibers.txt"
+    fibers.write_text("v:0 v:5\nv:99999999999999999999 v:1\n")  # does not fit in int64
+    out = tmp_path / "conn"
+    assert run(["connectivity", "--mesh", str(synth / "mesh.off"),
+                "--parcellation", str(synth / "labels.txt"),
+                "--fibers", str(fibers), "--out", str(out)]) == 1
+    assert "vertex 99999999999999999999 out of range" in capsys.readouterr().err
+    assert not (out / "counts.txt").exists()
+
+
 def test_workers_flag_identical_bytes(tmp_path):
     synth = _synth_atlas(tmp_path)
     outputs = []

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosp import (FormatError, binarize, build_connectivity_matrix, dice_coefficient,
-                   grid_mesh, load_fibers, load_matrix, map_endpoint_to_vertex,
-                   pairwise_dice, save_matrix, write_fibers)
+from geosp import (FormatError, TriangleMesh, atlas_mesh, binarize,
+                   build_connectivity_matrix, dice_coefficient, grid_mesh, icosphere_mesh,
+                   load_fibers, load_matrix, map_endpoint_to_vertex, pairwise_dice,
+                   save_matrix, write_fibers)
 from geosp.connectivity import format_dice_report
 
 from helpers import right_triangle_mesh
@@ -44,6 +47,81 @@ def test_endpoint_matches_linear_scan():
     for p in points:
         brute = int(np.argmin([np.linalg.norm(v - p) for v in mesh.vertices]))
         assert map_endpoint_to_vertex(p, mesh) == brute
+
+
+def _scan(points, vertices):
+    """Per-point linear scan; the first vertex at the minimum squared distance wins."""
+    out = []
+    for p in points:
+        d2 = np.einsum("ij,ij->i", vertices - p, vertices - p)
+        out.append(int(np.flatnonzero(d2 == d2.min())[0]))
+    return np.array(out, dtype=np.int64)
+
+
+def _property_mesh(kind, rng):
+    if kind == "single vertex":
+        return TriangleMesh(rng.normal(size=(1, 3)), np.zeros((0, 3)))
+    if kind == "icosphere":
+        return icosphere_mesh(int(rng.integers(0, 3)), radius=float(rng.uniform(0.5, 20)))
+    mesh = grid_mesh(int(rng.integers(2, 9)), int(rng.integers(2, 9)),
+                     spacing=float(rng.choice([1.0, 0.5, 3.0])))
+    v, t = mesh.vertices, mesh.triangles
+    if kind == "flat grid":  # zero extent on z
+        return mesh
+    if kind == "coincident vertices":  # exact copies, isolated, before and after the originals
+        dup = rng.integers(0, len(v), size=len(v) // 2 + 1)
+        return TriangleMesh(np.concatenate([v[dup], v, v[dup]]), t + len(dup))
+    # jittered and rotated grid
+    jittered = v + rng.normal(scale=0.1, size=v.shape)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return TriangleMesh(jittered @ q.T + rng.normal(scale=10, size=3), t)
+
+
+def _property_points(mesh, rng):
+    v = mesh.vertices
+    n = len(v)
+    span = float(np.ptp(v, axis=0).max()) or 1.0
+    a, b = rng.integers(0, n, size=(2, 12))
+    return np.concatenate([
+        v[rng.integers(0, n, size=5)],                                     # on vertices
+        v[rng.integers(0, n, size=20)] + rng.normal(scale=0.05 * span, size=(20, 3)),
+        (v[a] + v[b]) / 2,                                                 # midpoint ties
+        rng.uniform(v.min(0) - span, v.max(0) + span, size=(15, 3)),       # around the mesh
+        v[rng.integers(0, n, size=6)] + rng.normal(scale=1e3 * span, size=(6, 3)),  # far out
+    ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["jittered rotated grid", "icosphere", "coincident vertices",
+                        "flat grid", "single vertex"]))
+def test_batched_snapping_matches_linear_scan(seed, kind):
+    rng = np.random.default_rng(seed)
+    mesh = _property_mesh(kind, rng)
+    points = _property_points(mesh, rng)
+    got = map_endpoint_to_vertex(points, mesh)
+    assert got.dtype == np.int64 and got.shape == (len(points),)
+    np.testing.assert_array_equal(got, _scan(points, mesh.vertices))
+    one = map_endpoint_to_vertex(points[7], mesh)
+    assert type(one) is int and one == got[7]
+
+
+def test_snapping_ties_on_coincident_vertices_go_to_smallest_index():
+    mesh = grid_mesh(3, 3)
+    v = np.concatenate([mesh.vertices[[4]], mesh.vertices, mesh.vertices[[4]]])
+    dup = TriangleMesh(v, mesh.triangles + 1)
+    assert map_endpoint_to_vertex(mesh.vertices[4] + 0.01, dup) == 0
+    np.testing.assert_array_equal(map_endpoint_to_vertex(v, dup), [0, 1, 2, 3, 4, 0, 6, 7, 8, 9, 0])
+
+
+def test_snapping_empty_input():
+    got = map_endpoint_to_vertex(np.zeros((0, 3)), grid_mesh(3, 3))
+    assert got.dtype == np.int64 and got.shape == (0,)
+
+
+def test_snapping_rejects_non_3d_points():
+    with pytest.raises(ValueError, match="3D"):
+        map_endpoint_to_vertex(np.zeros((4, 2)), grid_mesh(3, 3))
 
 
 # -- connectivity matrix ---------------------------------------------------------
@@ -97,10 +175,74 @@ def test_point_endpoints_are_snapped():
     assert counts[2, 4] == 1
 
 
+@pytest.mark.parametrize("endpoint,shown", [
+    (3.7, "3.7"), (np.float64(0.5), "0.5"), (float("nan"), "nan"), (float("inf"), "inf"),
+    (True, "True"), (np.bool_(False), "False"),
+])
+def test_non_integer_scalar_endpoint_is_rejected(endpoint, shown):
+    mesh = grid_mesh(3, 3)
+    with pytest.raises(ValueError, match=shown):
+        build_connectivity_matrix([(0, 1), (endpoint, 4)], np.arange(9), mesh)
+
+
+def test_integral_scalar_endpoints_are_vertex_indices():
+    mesh = grid_mesh(3, 3)
+    counts = build_connectivity_matrix([(4.0, np.int32(2)), (np.uint8(8), np.float32(2.0))],
+                                       np.arange(9), mesh)
+    assert counts[4, 2] == counts[2, 4] == counts[8, 2] == 1
+    assert counts.sum() == 4
+
+
+def test_negative_parcel_id_is_rejected():
+    mesh = grid_mesh(3, 3)
+    sub = np.array([0, 0, 0, 1, 1, 1, -1, -1, -1])
+    with pytest.raises(ValueError, match="negative"):
+        build_connectivity_matrix([(6, 0)], sub, mesh)
+
+
+def test_fiber_must_have_two_endpoints():
+    with pytest.raises(ValueError, match="fiber 1 has 3 endpoints"):
+        build_connectivity_matrix([(0, 1), (0, 1, 2)], np.zeros(9, dtype=int), grid_mesh(3, 3))
+
+
+def test_mixed_fibers_match_per_fiber_tally():
+    mesh, _regions, _hemis = atlas_mesh(20, 21)
+    n = mesh.vertex_count
+    rng = np.random.default_rng(11)
+    sub = rng.integers(0, 40, size=n)
+    sub[0] = 40  # P = 41
+    pairs = rng.integers(0, n, size=(20_000, 2))
+    as_point = rng.random((20_000, 2)) < 0.5
+    noise = rng.normal(scale=0.3, size=(20_000, 2, 3))
+    fibers = [tuple(mesh.vertices[v] + noise[f, e] if as_point[f, e] else int(v)
+                    for e, v in enumerate(pair)) for f, pair in enumerate(pairs)]
+    counts = build_connectivity_matrix(fibers, sub, mesh)
+
+    expected = np.zeros((41, 41), dtype=np.int64)
+    self_loops = 0
+    for a, b in fibers:
+        p, q = (sub[int(_scan([e], mesh.vertices)[0]) if isinstance(e, np.ndarray) else e]
+                for e in (a, b))
+        expected[p, q] += 1
+        if p != q:
+            expected[q, p] += 1
+        self_loops += p == q
+    np.testing.assert_array_equal(counts, expected)
+    assert np.trace(counts) == self_loops > 0  # each self-connection counted once
+    assert counts[np.triu_indices(41)].sum() == 20_000
+
+
 def test_endpoint_out_of_range():
     mesh = grid_mesh(3, 3)
     with pytest.raises(ValueError, match="out of range"):
         build_connectivity_matrix([(0, 9)], np.zeros(9, dtype=int), mesh)
+
+
+@pytest.mark.parametrize("endpoint", [-1, np.int8(-3), 2**70, np.uint64(2**64 - 1), 1e30, -9.0])
+def test_endpoint_out_of_range_before_any_cast(endpoint):
+    mesh = grid_mesh(3, 3)
+    with pytest.raises(ValueError, match=re.escape(f"vertex {endpoint} out of range")):
+        build_connectivity_matrix([(0, 1), (endpoint, 4)], np.zeros(9, dtype=int), mesh)
 
 
 # -- binarize / dice --------------------------------------------------------------
