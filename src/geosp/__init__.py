@@ -13,7 +13,7 @@ from .kmeans import (KmeansConfig, KmeansResult, calc_groups, comp_centroids,
 from .mesh_io import (FormatError, TriangleMesh, color_for_id, concat_meshes,
                       load_labels, load_mesh, write_labels, write_mesh,
                       write_parcellation)
-from .oracles import oracle_medoid, oracle_sssp
+from .oracles import oracle_apsp, oracle_medoid, oracle_sssp
 from .parcellator import (AtlasPlan, Parcellation, ParcellationResult,
                           parcellate_atlas_mode, parcellate_whole_mode)
 from .surface_graph import (APSP_VERTEX_CAP, DistanceField, SurfaceGraph, UNREACHABLE,

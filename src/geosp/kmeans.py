@@ -1,13 +1,16 @@
 """Geodesic graph k-means: k-means++ seeding, nearest-centroid groups, medoid updates.
 
 Centroids are always graph vertices (medoids). Assignment uses multi-source
-geodesic distances; centroid updates solve all-pairs shortest paths on each
-cluster's induced subgraph and pick the vertex minimizing the distance sum.
-All tie-breaking is by smallest index (centroid list position for assignment,
-vertex index for medoids), which makes runs bit-reproducible. thread_map is
-the one place threads are started: the parcellator runs its region or
-hemisphere tasks through it, and a task's medoid updates use it with the
-workers left over.
+geodesic distances; each centroid update finds the exact medoid of its
+cluster (the vertex minimizing the distance sum within the cluster's induced
+subgraph) by Dijkstra runs from a few members, pruning the rest with
+triangle-inequality lower bounds (Newling & Fleuret, AISTATS 2017). A cluster
+of c vertices costs O(c^2) memory and typically about a dozen Dijkstras at a
+few hundred vertices, against O(c^3) for all pairs. All tie-breaking is by
+smallest index (centroid list position for assignment, vertex index for
+medoids), which makes runs bit-reproducible. thread_map is the one place
+threads are started: the parcellator runs its region or hemisphere tasks
+through it, and a task's medoid updates use it with the workers left over.
 """
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface_graph import SurfaceGraph, apsp, induced_subgraph, multi_source_sssp, sssp
+from .surface_graph import (SurfaceGraph, _dijkstra, _induced_adjacency, multi_source_sssp,
+                            sssp)
 
 
 @dataclass
@@ -117,33 +121,92 @@ def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, 
     return assignment, fallbacks
 
 
+# A candidate is pruned only when its lower bound exceeds the best sum by
+# more than this share of 2*c*ecc, the largest sum any member can have (c
+# members, every distance at most twice the anchor's eccentricity ecc).
+# Rounding in a distance or a sum grows like (edges on a path) * 2**-53 of
+# that scale, far below 1e-9 on any mesh, so an exact or ULP-close tie is
+# always evaluated.
+_PRUNE_PAD = 1e-9
+
+
 def _cluster_medoid(graph: SurfaceGraph, ids: np.ndarray, previous_centroid: int) -> int:
-    """Medoid of one cluster via Floyd-Warshall on its induced subgraph."""
-    if len(ids) == 1:
+    """Exact medoid of one cluster: the member with the smallest distance sum
+    within the cluster-induced subgraph, ties to the smallest vertex index.
+
+    Members are evaluated one Dijkstra at a time: first the previous
+    centroid, then the member farthest from it, then the member farthest
+    from both; after that the open candidate with the smallest lower bound.
+    gap[j, x] = max over evaluated sources s of |d(s,j) - d(s,x)| is at most
+    d(x,j) by the triangle inequality, so its column sum bounds x's distance
+    sum from below, and x is pruned once that bound exceeds the best sum
+    (padded by _PRUNE_PAD). The search stops when no candidate is open.
+    Memory: two c x c float64 buffers at the first step (c = component
+    size), 16*c^2 bytes, shrinking as candidates are pruned.
+
+    If the subgraph is disconnected, only the component holding the
+    previous centroid counts; without the previous centroid in the cluster
+    that raises ValueError.
+    """
+    m = len(ids)
+    if m == 1:
         return int(ids[0])
-    sub = induced_subgraph(graph, ids)
-    dmat = apsp(sub, max_vertices=len(ids))
-    where_prev = np.searchsorted(ids, previous_centroid)
-    if where_prev < len(ids) and ids[where_prev] == previous_centroid:
-        member = np.isfinite(dmat[where_prev])
-    elif np.isfinite(dmat).all():
-        member = np.ones(len(ids), dtype=bool)
-    else:
+    adjacency = _induced_adjacency(graph, ids)
+    where_prev = int(np.searchsorted(ids, previous_centroid))
+    anchored = where_prev < m and ids[where_prev] == previous_centroid
+    anchor = where_prev if anchored else 0
+    first = np.asarray(_dijkstra(adjacency, [anchor])[0])
+    sel = np.flatnonzero(np.isfinite(first))
+    if not anchored and len(sel) < m:
         raise ValueError("disconnected cluster without its previous centroid")
-    sel = np.flatnonzero(member)
-    sums = dmat[np.ix_(sel, sel)].sum(axis=1)
-    return int(ids[sel[int(np.argmin(sums))]])
+    c = len(sel)
+    if c == 1:
+        return int(ids[anchor])
+
+    # Positions below index into sel, whose order is vertex-index order.
+    row = first[sel]
+    pad = _PRUNE_PAD * 2 * c * row.max()
+    open_ = np.arange(c)
+    gap = 0.0  # becomes the (c, len(open_)) bound matrix
+    near = np.full(c, np.inf)
+    best_sum, best = np.inf, -1
+    p = int(np.searchsorted(sel, anchor))
+    for evaluated in range(1, c + 1):
+        total = row.sum()
+        if total < best_sum or (total == best_sum and p < best):
+            best_sum, best = total, p
+        # In place, so at most two (c, len(open_)) buffers are ever alive.
+        diff = np.subtract.outer(row, row[open_])
+        gap = np.maximum(np.abs(diff, out=diff), gap, out=diff)
+        del diff
+        lower = gap.sum(axis=0)
+        keep = (lower <= best_sum + pad) & (open_ != p)
+        # compress keeps gap C-ordered, as the next update expects for speed.
+        open_, gap, lower = open_[keep], gap.compress(keep, axis=1), lower[keep]
+        if not len(open_):
+            break
+        if evaluated < 3:
+            near = np.minimum(near, row)
+            p = int(np.argmax(near))
+        else:
+            p = int(open_[np.argmin(lower)])
+        row = np.asarray(_dijkstra(adjacency, [int(sel[p])])[0])[sel]
+    return int(ids[sel[best]])
 
 
 def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
                    centroids: list[int], workers: int = 1) -> list[int]:
-    """Recompute each cluster's centroid as its medoid.
+    """Recompute each cluster's centroid as its exact medoid.
 
-    For a disconnected cluster subgraph the medoid is taken on the component
-    containing that cluster's previous centroid. Ties go to the smallest
-    vertex index. Clusters are processed independently (up to `workers` at
-    once, through thread_map) and merged in cluster-id order, so output does
-    not depend on worker count.
+    The medoid minimizes the sum of geodesic distances within the cluster's
+    induced subgraph; ties go to the smallest vertex index. It comes from a
+    pruned search (see _cluster_medoid): Dijkstra from the previous centroid
+    and a few far members, then from the candidates whose lower bound could
+    still win, with O(c^2) memory for a cluster of c vertices. For a
+    disconnected cluster subgraph the medoid is taken on the component
+    containing that cluster's previous centroid. Clusters are processed
+    independently (up to `workers` at once, through thread_map) and merged
+    in cluster-id order, so output does not depend on worker count.
     """
     k = len(centroids)
     clusters = []

@@ -1,15 +1,17 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
-These deliberately share no shortest-path code with surface_graph: distances
+These deliberately share no shortest-path code with surface_graph, whose one
+heap Dijkstra loop serves every fast path: single-source distances and medoids
 come from whole-edge-array relaxation sweeps (Bellman-Ford style, no priority
-queue), and medoids from repeated relaxation sweeps instead of Floyd-Warshall.
-They are meant for graphs of a few hundred vertices.
+queue), and all-pairs distances from dense Floyd-Warshall. They are meant for
+graphs of a few hundred vertices.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .surface_graph import DistanceField, SurfaceGraph, UNREACHABLE, induced_subgraph
+from .surface_graph import (APSP_VERTEX_CAP, DistanceField, SurfaceGraph, UNREACHABLE,
+                            induced_subgraph)
 
 
 def oracle_sssp(graph: SurfaceGraph, source: int) -> DistanceField:
@@ -30,6 +32,26 @@ def oracle_sssp(graph: SurfaceGraph, source: int) -> DistanceField:
         if np.array_equal(nd, dist):
             return DistanceField((source,), dist)
         dist = nd
+
+
+def oracle_apsp(graph: SurfaceGraph, max_vertices: int = APSP_VERTEX_CAP) -> np.ndarray:
+    """Dense all-pairs geodesic distance matrix via Floyd-Warshall.
+
+    O(|V|^3) time and O(|V|^2) memory; refuses graphs above max_vertices to
+    guard against an accidental whole-cortex call. Unreachable pairs carry
+    UNREACHABLE.
+    """
+    n = graph.vertex_count
+    if n > max_vertices:
+        raise ValueError(f"graph has {n} vertices, above the APSP cap of {max_vertices}")
+    d = np.full((n, n), UNREACHABLE)
+    np.fill_diagonal(d, 0.0)
+    eu, ev, ew = graph.edges()
+    d[eu, ev] = ew
+    d[ev, eu] = ew
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
 
 
 def oracle_medoid(graph: SurfaceGraph, cluster, previous_centroid: int | None = None) -> int:

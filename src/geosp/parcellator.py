@@ -167,6 +167,8 @@ def parcellate_atlas_mode(mesh: TriangleMesh, labels, plan: AtlasPlan,
     region must have at least k vertices (no silent clamping). Total
     sub-parcel count is the sum of the plan's k values.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != mesh.vertex_count:
         raise ValueError(f"{len(labels)} labels for {mesh.vertex_count} vertices")
@@ -202,6 +204,8 @@ def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
     the hemispheres run at once, and workers beyond one per hemisphere go to
     the medoid updates; total sub-parcels = k * number of hemispheres.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     hemis = np.asarray(hemisphere_labels, dtype=np.int64)
     if len(hemis) != mesh.vertex_count:
         raise ValueError(f"{len(hemis)} hemisphere labels for {mesh.vertex_count} vertices")

@@ -1,5 +1,9 @@
 """Weighted surface graph and shortest-path primitives (SSSP, multi-source, APSP).
 
+Every shortest path comes from one heap loop, `_dijkstra`, which runs on
+per-vertex adjacency lists: the whole graph's (`SurfaceGraph._adjacency`) or
+a vertex subset's (`_induced_adjacency`, for k-means medoids).
+
 The graph's edges are exactly the unique triangle edges of the mesh, weighted
 by the Euclidean distance between their endpoints, so shortest paths measure
 geodesic distance along the surface rather than straight-line distance.
@@ -82,15 +86,18 @@ class SurfaceGraph:
         # lists share one int object per vertex, so the cache stays about as
         # small as flat lists.
         if self._adj is None:
-            ends = self.indptr.tolist()
             ids = list(range(self.vertex_count))
-
-            def per_vertex(flat):
-                return [flat[a:b] for a, b in zip(ends[:-1], ends[1:])]
-
-            self._adj = (per_vertex(list(map(ids.__getitem__, self.neighbor_indices.tolist()))),
-                         per_vertex(self.neighbor_weights.tolist()))
+            self._adj = _per_vertex_lists(self.indptr,
+                                          list(map(ids.__getitem__, self.neighbor_indices.tolist())),
+                                          self.neighbor_weights.tolist())
         return self._adj
+
+
+def _per_vertex_lists(indptr, neighbors: list, weights: list):
+    """Split flat CSR neighbor and weight lists into one list per vertex."""
+    ends = indptr.tolist()
+    bounds = list(zip(ends[:-1], ends[1:]))
+    return [neighbors[a:b] for a, b in bounds], [weights[a:b] for a, b in bounds]
 
 
 @dataclass
@@ -140,6 +147,27 @@ def induced_subgraph(graph: SurfaceGraph, vertex_ids) -> SurfaceGraph:
     return SurfaceGraph(graph.positions[ids], lookup[eu[keep]], lookup[ev[keep]], ew[keep])
 
 
+def _induced_adjacency(graph: SurfaceGraph, ids: np.ndarray):
+    """Adjacency lists of the subgraph induced on sorted, unique `ids`,
+    reindexed to 0..len-1, read straight from the graph's CSR arrays.
+
+    Equals `induced_subgraph(graph, ids)._adjacency()` (neighbors stay in
+    ascending order) without building a SurfaceGraph.
+    """
+    lookup = np.full(graph.vertex_count, -1, dtype=np.int64)
+    lookup[ids] = np.arange(len(ids))
+    starts = graph.indptr[ids]
+    counts = graph.indptr[ids + 1] - starts
+    slots = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    local = lookup[graph.neighbor_indices[slots]]
+    keep = local >= 0
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.repeat(np.arange(len(ids)), counts)[keep], minlength=len(ids)),
+              out=indptr[1:])
+    return _per_vertex_lists(indptr, local[keep].tolist(),
+                             graph.neighbor_weights[slots[keep]].tolist())
+
+
 def extract_region_subgraph(graph: SurfaceGraph, labels,
                             region: int) -> tuple[SurfaceGraph, np.ndarray]:
     """Subgraph induced on vertices labeled `region`, plus the local->global index map."""
@@ -150,14 +178,16 @@ def extract_region_subgraph(graph: SurfaceGraph, labels,
     return induced_subgraph(graph, ids), ids
 
 
-def _dijkstra(graph: SurfaceGraph, sources) -> tuple[list[float], list[int]]:
+def _dijkstra(adjacency, sources) -> tuple[list[float], list[int]]:
     """Heap Dijkstra from one or more sources, the one shortest-path loop.
 
-    Returns per-vertex (dist, pos): the minimum distance over the sources and
-    the position in `sources` of the source achieving it (-1 where
-    unreachable); exact distance ties go to the earlier position.
+    `adjacency` is a pair of per-vertex neighbor and weight lists. Returns
+    per-vertex (dist, pos): the minimum distance over the sources and the
+    position in `sources` of the source achieving it (-1 where unreachable);
+    exact distance ties go to the earlier position.
     """
-    n = graph.vertex_count
+    adj_nbrs, adj_wts = adjacency
+    n = len(adj_nbrs)
     src = [int(s) for s in sources]
     if not src:
         raise ValueError("source list is empty")
@@ -167,7 +197,6 @@ def _dijkstra(graph: SurfaceGraph, sources) -> tuple[list[float], list[int]]:
         if not 0 <= s < n:
             raise ValueError(f"source vertex {s} out of range [0, {n})")
 
-    adj_nbrs, adj_wts = graph._adjacency()
     dist = [UNREACHABLE] * n
     pos = [-1] * n
     heap = []
@@ -195,7 +224,7 @@ def _dijkstra(graph: SurfaceGraph, sources) -> tuple[list[float], list[int]]:
 
 def sssp(graph: SurfaceGraph, source: int) -> DistanceField:
     """Exact single-source shortest paths (Dijkstra on a binary heap)."""
-    dist, _pos = _dijkstra(graph, [source])
+    dist, _pos = _dijkstra(graph._adjacency(), [source])
     return DistanceField((int(source),), np.asarray(dist))
 
 
@@ -206,7 +235,7 @@ def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
     the source earliest in the `sources` list.
     """
     src = [int(s) for s in sources]
-    dist, pos = _dijkstra(graph, src)
+    dist, pos = _dijkstra(graph._adjacency(), src)
     pos_arr = np.asarray(pos)
     nearest = np.full(graph.vertex_count, -1, dtype=np.int64)
     reached = pos_arr >= 0
@@ -215,22 +244,18 @@ def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
 
 
 def apsp(graph: SurfaceGraph, max_vertices: int = APSP_VERTEX_CAP) -> np.ndarray:
-    """Dense all-pairs geodesic distance matrix via Floyd-Warshall.
+    """Dense all-pairs geodesic distance matrix, one Dijkstra row per vertex.
 
-    O(|V|^2) memory; refuses graphs above max_vertices to guard against an
-    accidental whole-cortex call. Unreachable pairs carry UNREACHABLE.
+    Row i holds sssp(graph, i).dist. O(|V|^2) memory; refuses graphs above
+    max_vertices to guard against an accidental whole-cortex call.
+    Unreachable pairs carry UNREACHABLE. k-means does not use it: medoids
+    come from a pruned search (kmeans._cluster_medoid).
     """
     n = graph.vertex_count
     if n > max_vertices:
         raise ValueError(f"graph has {n} vertices, above the APSP cap of {max_vertices}")
-    d = np.full((n, n), UNREACHABLE)
-    np.fill_diagonal(d, 0.0)
-    eu, ev, ew = graph.edges()
-    d[eu, ev] = ew
-    d[ev, eu] = ew
-    for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return d
+    adjacency = graph._adjacency()
+    return np.array([_dijkstra(adjacency, [s])[0] for s in range(n)]).reshape(n, n)
 
 
 def dump_distance_field(field: DistanceField, path) -> None:

@@ -12,8 +12,7 @@ from geosp import (AtlasPlan, KmeansConfig, atlas_mesh, binarize, bridge_graph,
                    pairwise_dice, parallel_kmeans, parcellate_atlas_mode,
                    parcellate_whole_mode, sssp, wave_sheet_mesh)
 from geosp.cli import run
-from geosp.oracles import oracle_medoid, oracle_sssp
-from geosp.surface_graph import apsp
+from geosp.oracles import oracle_apsp as apsp, oracle_medoid, oracle_sssp
 
 from helpers import bumpy_grid_graph
 

@@ -168,6 +168,19 @@ def test_unknown_flag_fails():
     assert run(["parcellate-atlas", "--bogus"]) != 0
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_non_positive_workers_fail(tmp_path, capsys, workers):
+    synth = _synth_atlas(tmp_path)
+    assert run(["parcellate-atlas", "--mesh", str(synth / "mesh.off"),
+                "--labels", str(synth / "labels.txt"), "--k", "1",
+                "--workers", workers, "--out", str(tmp_path / "atlas")]) == 1
+    assert run(["parcellate-whole", "--mesh", str(synth / "mesh.off"),
+                "--hemis", str(synth / "hemispheres.txt"), "--k", "2",
+                "--workers", workers, "--out", str(tmp_path / "whole")]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "atlas").exists() and not (tmp_path / "whole").exists()
+
+
 def test_missing_file_fails(tmp_path, capsys):
     assert run(["parcellate-atlas", "--mesh", str(tmp_path / "nope.off"),
                 "--labels", str(tmp_path / "nope.txt"), "--k", "2",

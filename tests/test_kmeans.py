@@ -5,10 +5,12 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from geosp import (KmeansConfig, bridge_graph, build_graph, calc_groups,
-                   comp_centroids, dumbbell_mesh, kmeanspp_init, multi_source_sssp,
-                   parallel_kmeans, perturb_weights, sssp, stop_criterion)
-from geosp.kmeans import max_centroid_shift_mm
+from geosp import (KmeansConfig, TriangleMesh, bridge_graph, build_graph, calc_groups,
+                   comp_centroids, dumbbell_mesh, grid_mesh, icosphere_mesh, kmeanspp_init,
+                   multi_source_sssp, parallel_kmeans, perturb_weights, sssp, stop_criterion,
+                   wave_sheet_mesh)
+from geosp import kmeans
+from geosp.kmeans import _cluster_medoid, max_centroid_shift_mm
 from geosp.oracles import oracle_medoid, oracle_sssp
 from geosp.surface_graph import SurfaceGraph
 
@@ -171,6 +173,84 @@ def test_comp_centroids_disconnected_uses_previous_component():
     assert comp_centroids(g, assignment, [1]) == [1]
     assert comp_centroids(g, assignment, [4]) == [3]
     assert oracle_medoid(g, np.arange(5), previous_centroid=4) == 3
+
+
+def _jittered_rotated_grid(nx, ny, rng):
+    mesh = grid_mesh(nx, ny)
+    jittered = mesh.vertices + rng.normal(scale=0.1, size=mesh.vertices.shape)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return TriangleMesh(jittered @ q.T + rng.normal(scale=10, size=3), mesh.triangles)
+
+
+def _medoid_case(kind, rng):
+    """(graph, sorted cluster ids, previous centroid) for one property example."""
+    if kind == "symmetric path":  # every sum ties with its mirror image
+        g = path_graph(int(rng.integers(2, 30)))
+        return g, np.arange(g.vertex_count), int(rng.integers(g.vertex_count))
+    nx, ny = (int(x) for x in rng.integers(3, 16, size=2))
+    if kind == "icosphere":
+        g = build_graph(icosphere_mesh(int(rng.integers(1, 3)), radius=float(rng.uniform(1, 20))))
+    elif kind == "wave sheet":
+        g = build_graph(wave_sheet_mesh(nx, ny, amplitude=float(rng.uniform(0.5, 5))))
+    elif kind == "unjittered grid":  # exact ties between mirror-image vertices
+        g = build_graph(grid_mesh(nx, ny))
+    else:
+        g = build_graph(_jittered_rotated_grid(nx, ny, rng))
+    if kind == "two components":  # drop one grid column
+        cut = int(rng.integers(1, nx - 1))
+        ids = np.flatnonzero(np.arange(g.vertex_count) % nx != cut)
+        return g, ids, int(rng.choice(ids))
+    k = int(rng.integers(1, 5))
+    centroids = rng.choice(g.vertex_count, size=k, replace=False).tolist()
+    assignment, _ = calc_groups(g, centroids)
+    ids = np.flatnonzero(assignment == 0)
+    if kind == "far previous centroid":  # the member geodesically farthest from the centroid
+        dist = sssp(g, centroids[0]).dist[ids]
+        return g, ids, int(ids[int(np.argmax(dist))])
+    return g, ids, centroids[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["jittered rotated grid", "icosphere", "wave sheet", "two components",
+                        "unjittered grid", "symmetric path", "far previous centroid"]))
+def test_pruned_medoid_equals_oracle(seed, kind):
+    g, ids, previous = _medoid_case(kind, np.random.default_rng(seed))
+    assert _cluster_medoid(g, ids, previous) == oracle_medoid(g, ids, previous_centroid=previous)
+
+
+def test_medoid_ties_go_to_smallest_index():
+    # Even path: the two middle vertices tie exactly. 4 x 4 grid: vertices 5
+    # and 10 map onto each other under a half turn, so their sums tie.
+    assert _cluster_medoid(path_graph(6), np.arange(6), 5) == 2
+    g = build_graph(grid_mesh(4, 4))
+    assert _cluster_medoid(g, np.arange(16), 15) == oracle_medoid(g, np.arange(16)) == 5
+
+
+def test_disconnected_cluster_without_previous_centroid_raises():
+    g = path_graph(5)
+    with pytest.raises(ValueError, match="disconnected"):
+        _cluster_medoid(g, np.array([0, 1, 3, 4]), 2)
+    assert _cluster_medoid(g, np.array([0, 1, 2]), 4) == 1  # connected: no anchor needed
+
+
+def test_medoid_search_prunes_most_candidates(monkeypatch):
+    rng = np.random.default_rng(3)
+    g = build_graph(_jittered_rotated_grid(20, 21, rng))
+    ids = np.arange(g.vertex_count)
+    runs = []
+    original = kmeans._dijkstra
+
+    def counting(adjacency, sources):
+        runs.append(sources)
+        return original(adjacency, sources)
+
+    monkeypatch.setattr(kmeans, "_dijkstra", counting)
+    medoid = _cluster_medoid(g, ids, 0)  # a corner: far from the medoid
+    assert len(runs) < g.vertex_count / 10
+    monkeypatch.undo()
+    rows = np.stack([sssp(g, int(v)).dist for v in ids])
+    assert medoid == int(np.argmin(rows.sum(axis=1)))
 
 
 def test_comp_centroids_empty_cluster_rejected():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,15 @@ def test_region_smaller_than_k_is_an_error():
     labels[0] = 7  # region 7 has a single vertex
     with pytest.raises(ValueError, match="region 7"):
         parcellate_atlas_mode(mesh, labels, AtlasPlan({0: 2, 7: 2}))
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_non_positive_workers_rejected(small_atlas, workers):
+    mesh, regions, hemis = small_atlas
+    with pytest.raises(ValueError, match="workers"):
+        parcellate_atlas_mode(mesh, regions, AtlasPlan.uniform(regions, 1), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        parcellate_whole_mode(mesh, hemis, 2, workers=workers)
 
 
 def test_plan_coverage_errors():
@@ -254,3 +267,17 @@ def test_derived_seeds_differ_by_region():
     assert len(seeds) == 100
     assert derive_seed(7, 3) == derive_seed(7, 3)
     assert derive_seed(7, 3) != derive_seed(8, 3)
+
+
+def test_whole_mode_imports_no_scipy():
+    # scipy is a test dependency only: importing scipy.sparse.csgraph alone
+    # roughly doubles a numpy process's resident memory.
+    code = ("import sys, numpy as np, geosp\n"
+            "mesh, _r, hemis = geosp.atlas_mesh(8, 9)\n"
+            "geosp.parcellate_whole_mode(mesh, hemis, 3, geosp.KmeansConfig(k=1), workers=2)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosp import (SurfaceGraph, TriangleMesh, apsp, build_graph,
+from geosp import (SurfaceGraph, TriangleMesh, build_graph,
                    dump_distance_field, extract_region_subgraph, grid_mesh,
                    induced_subgraph, multi_source_sssp, sssp, wave_sheet_mesh)
-from geosp.oracles import oracle_sssp
-from geosp.surface_graph import MIN_EDGE_WEIGHT_MM
+from geosp.oracles import oracle_apsp as apsp, oracle_sssp
+from geosp.surface_graph import MIN_EDGE_WEIGHT_MM, _induced_adjacency
+from geosp.surface_graph import apsp as dijkstra_apsp
 
 from helpers import (brute_force_triangle_edges, bumpy_grid_graph,
                      bumpy_grid_mesh, path_graph, right_triangle_mesh)
@@ -240,6 +241,21 @@ def test_apsp_cap():
     g = bumpy_grid_graph(7, min_side=5, max_side=5)
     with pytest.raises(ValueError, match="cap"):
         apsp(g, max_vertices=g.vertex_count - 1)
+
+
+def test_dijkstra_apsp_rows_are_sssp_and_match_floyd_warshall():
+    g = bumpy_grid_graph(9, min_side=8, max_side=9)
+    d = dijkstra_apsp(g)
+    np.testing.assert_array_equal(d, np.stack([sssp(g, u).dist for u in range(g.vertex_count)]))
+    np.testing.assert_allclose(d, apsp(g), rtol=1e-9, atol=0)
+    with pytest.raises(ValueError, match="cap"):
+        dijkstra_apsp(g, max_vertices=g.vertex_count - 1)
+
+
+def test_induced_adjacency_matches_induced_subgraph():
+    g = bumpy_grid_graph(10)
+    ids = np.flatnonzero(np.random.default_rng(10).random(g.vertex_count) < 0.6)
+    assert _induced_adjacency(g, ids) == induced_subgraph(g, ids)._adjacency()
 
 
 def test_geodesic_at_least_euclidean():
