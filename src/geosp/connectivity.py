@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh_io import FormatError, TriangleMesh
+from .mesh_io import FormatError, TriangleMesh, _format_rows, _write_text
 
 # Blocks keep the temporaries near 1 MB: endpoints whose grid cells are
 # looked up together, and about how many (endpoint, vertex) distances one
@@ -302,10 +302,8 @@ def format_dice_report(result: PairwiseDice) -> str:
 def save_matrix(path, matrix: np.ndarray) -> None:
     """Text matrix: first line P, then P rows of space-separated integers."""
     m = np.asarray(matrix, dtype=np.int64)
-    out = [f"{m.shape[0]}\n"]
-    for row in m:
-        out.append(" ".join(str(v) for v in row) + "\n")
-    Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
+    row_format = " ".join(["%d"] * m.shape[1]) + "\n"
+    _write_text(path, [f"{m.shape[0]}\n"], _format_rows(row_format, m))
 
 
 def load_matrix(path) -> np.ndarray:

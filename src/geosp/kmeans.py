@@ -1,20 +1,22 @@
 """Geodesic graph k-means: k-means++ seeding, nearest-centroid groups, medoid updates.
 
-Centroids are always graph vertices (medoids). Assignment uses multi-source
+Centroids are always graph vertices (medoids). k-means++ seeding lowers one
+nearest-centroid field with a bounded Dijkstra per new centroid, which visits
+only the vertices that move closer (the graph form of triangle-inequality
+pruning for k-means++, Raff, IJCAI 2021). Assignment uses multi-source
 geodesic distances; each centroid update finds the exact medoid of its
 cluster (the vertex minimizing the distance sum within the cluster's induced
 subgraph) by Dijkstra runs from a few members, pruning the rest with
-triangle-inequality lower bounds (Newling & Fleuret, AISTATS 2017). A cluster
-of c vertices costs O(c^2) memory and typically about a dozen Dijkstras at a
-few hundred vertices, against O(c^3) for all pairs. All tie-breaking is by
-smallest index (centroid list position for assignment, vertex index for
-medoids), which makes runs bit-reproducible. thread_map is the one place
-threads are started: the parcellator runs its region or hemisphere tasks
-through it, and a task's medoid updates use it with the workers left over.
+triangle-inequality lower bounds (Newling & Fleuret, AISTATS 2017). The first
+of those runs, from the previous centroid, is read from the assignment's
+distance field. A cluster of c vertices costs O(c^2) memory and typically
+about a dozen Dijkstras at a few hundred vertices, against O(c^3) for all
+pairs. All tie-breaking is by smallest index (centroid list position for
+assignment, vertex index for medoids), which makes runs bit-reproducible.
+Everything here runs on the calling thread.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,18 +55,6 @@ class KmeansResult:
     energy_history: list[float] = field(default_factory=list)
 
 
-def thread_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], with at most `workers` calls running at once.
-
-    Results come back in item order, so the output never depends on workers.
-    """
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def kmeanspp_init(graph: SurfaceGraph, k: int, rng_seed: int) -> list[int]:
     """k-means++ seeding with geodesic D(x): first centroid uniform, then each
     new centroid drawn with probability proportional to D(x)^2, where D(x) is
@@ -72,6 +62,10 @@ def kmeanspp_init(graph: SurfaceGraph, k: int, rng_seed: int) -> list[int]:
 
     Vertices unreachable from every chosen centroid get D(x) = (max finite
     distance) + 1 mm so they stay selectable. Deterministic given rng_seed.
+
+    Each new centroid's Dijkstra starts from the current nearest field as its
+    bound (sssp's `bound`), so it visits only the vertices it brings closer
+    and returns exactly the minimum a full run would give.
     """
     n = graph.vertex_count
     if not 1 <= k <= n:
@@ -90,7 +84,7 @@ def kmeanspp_init(graph: SurfaceGraph, k: int, rng_seed: int) -> list[int]:
         nxt = int(np.searchsorted(cum, r, side="right"))
         nxt = min(nxt, n - 1)
         centroids.append(nxt)
-        nearest = np.minimum(nearest, sssp(graph, nxt).dist)
+        nearest = sssp(graph, nxt, nearest).dist
     return centroids
 
 
@@ -130,7 +124,8 @@ def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, 
 _PRUNE_PAD = 1e-9
 
 
-def _cluster_medoid(graph: SurfaceGraph, ids: np.ndarray, previous_centroid: int) -> int:
+def _cluster_medoid(graph: SurfaceGraph, ids: np.ndarray, previous_centroid: int,
+                    dist: np.ndarray | None = None) -> int:
     """Exact medoid of one cluster: the member with the smallest distance sum
     within the cluster-induced subgraph, ties to the smallest vertex index.
 
@@ -147,6 +142,10 @@ def _cluster_medoid(graph: SurfaceGraph, ids: np.ndarray, previous_centroid: int
     If the subgraph is disconnected, only the component holding the
     previous centroid counts; without the previous centroid in the cluster
     that raises ValueError.
+
+    `dist`, if given, is the multi-source field the cluster was assigned
+    from (see comp_centroids). When the cluster holds its previous centroid,
+    dist[ids] is used as that centroid's row instead of a Dijkstra run.
     """
     m = len(ids)
     if m == 1:
@@ -155,7 +154,10 @@ def _cluster_medoid(graph: SurfaceGraph, ids: np.ndarray, previous_centroid: int
     where_prev = int(np.searchsorted(ids, previous_centroid))
     anchored = where_prev < m and ids[where_prev] == previous_centroid
     anchor = where_prev if anchored else 0
-    first = np.asarray(_dijkstra(adjacency, [anchor])[0])
+    if anchored and dist is not None:
+        first = dist[ids]
+    else:
+        first = np.asarray(_dijkstra(adjacency, [anchor])[0])
     sel = np.flatnonzero(np.isfinite(first))
     if not anchored and len(sel) < m:
         raise ValueError("disconnected cluster without its previous centroid")
@@ -195,7 +197,7 @@ def _cluster_medoid(graph: SurfaceGraph, ids: np.ndarray, previous_centroid: int
 
 
 def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
-                   centroids: list[int], workers: int = 1) -> list[int]:
+                   centroids: list[int], dist: np.ndarray | None = None) -> list[int]:
     """Recompute each cluster's centroid as its exact medoid.
 
     The medoid minimizes the sum of geodesic distances within the cluster's
@@ -204,9 +206,17 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
     and a few far members, then from the candidates whose lower bound could
     still win, with O(c^2) memory for a cluster of c vertices. For a
     disconnected cluster subgraph the medoid is taken on the component
-    containing that cluster's previous centroid. Clusters are processed
-    independently (up to `workers` at once, through thread_map) and merged
-    in cluster-id order, so output does not depend on worker count.
+    containing that cluster's previous centroid. Clusters are processed one
+    after another in cluster-id order.
+
+    `dist` is optional: the multi-source field that `assignment` came from
+    (multi_source_sssp over `centroids`, as parallel_kmeans computes it).
+    In that run a vertex's final source is its parent's, so the path behind
+    dist[v] stays inside v's cluster and dist restricted to a cluster equals
+    the induced-subgraph distances from its centroid bit for bit. With it,
+    each cluster that holds its previous centroid skips that centroid's
+    Dijkstra; without it, or for a cluster that lacks its previous centroid,
+    the row is computed.
     """
     k = len(centroids)
     clusters = []
@@ -215,8 +225,7 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
         if len(ids) == 0:
             raise ValueError(f"cluster {i} is empty")
         clusters.append(ids)
-    return thread_map(lambda args: _cluster_medoid(graph, *args),
-                      zip(clusters, centroids), workers)
+    return [_cluster_medoid(graph, ids, c, dist) for ids, c in zip(clusters, centroids)]
 
 
 def max_centroid_shift_mm(old: list[int], new: list[int], graph: SurfaceGraph) -> float:
@@ -236,14 +245,14 @@ def stop_criterion(old_centroids: list[int], new_centroids: list[int],
     return iteration >= config.max_iterations
 
 
-def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
-                    workers: int = 1) -> KmeansResult:
+def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig) -> KmeansResult:
     """Full clustering loop: seed, then alternate assignment and medoid updates
     until centroids move less than the tolerance or the iteration cap hits.
 
     k=1 short-circuits to a single group holding every vertex. The returned
     groups always partition the vertex set and are identical across reruns
-    with the same inputs and any worker count.
+    with the same inputs. Each medoid update reuses the assignment's
+    distance field (see comp_centroids).
     """
     n = graph.vertex_count
     if config.k > n:
@@ -269,7 +278,7 @@ def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
         total_fallbacks += fallbacks
         energy.append(float(dist[np.isfinite(dist)].sum()))
 
-        new_centroids = comp_centroids(graph, assignment, centroids, workers=workers)
+        new_centroids = comp_centroids(graph, assignment, centroids, dist)
         shift = max_centroid_shift_mm(centroids, new_centroids, graph)
         converged = stop_criterion(centroids, new_centroids, graph, iteration, config)
         centroids = new_centroids

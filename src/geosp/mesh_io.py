@@ -16,6 +16,7 @@ from .util import splitmix64
 
 COORD_FORMAT = "%.6f"
 PALETTE_SIZE = 512
+WRITE_BLOCK_ROWS = 4096
 
 
 class FormatError(ValueError):
@@ -254,13 +255,33 @@ def write_mesh(path, mesh: TriangleMesh, fmt: str | None = None,
         raise ValueError(f"unknown mesh format {fmt!r} (expected 'off' or 'ply')")
 
 
+def _format_rows(line_format: str, *arrays: np.ndarray):
+    """Yield `line_format % row` over the rows of 2-D arrays laid side by side,
+    joined WRITE_BLOCK_ROWS lines at a time.
+
+    Each row is a tuple of Python scalars, so every line costs one `%`; the
+    blocks keep a writer's transient memory small.
+    """
+    for start in range(0, len(arrays[0]), WRITE_BLOCK_ROWS):
+        columns = [c for a in arrays for c in a[start:start + WRITE_BLOCK_ROWS].T.tolist()]
+        yield "".join(map(line_format.__mod__, zip(*columns)))
+
+
+def _write_text(path, *parts) -> None:
+    """Write the strings of each part, part after part, as UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for part in parts:
+            f.writelines(part)
+
+
+_XYZ_FORMAT = " ".join([COORD_FORMAT] * 3)
+_FACE_FORMAT = "3 %d %d %d\n"
+
+
 def _write_off(path: Path, mesh: TriangleMesh) -> None:
-    out = [f"OFF\n{mesh.vertex_count} {mesh.triangle_count} 0\n"]
-    for x, y, z in mesh.vertices:
-        out.append(f"{COORD_FORMAT % x} {COORD_FORMAT % y} {COORD_FORMAT % z}\n")
-    for i, j, k in mesh.triangles:
-        out.append(f"3 {i} {j} {k}\n")
-    path.write_text("".join(out), encoding="utf-8", newline="\n")
+    _write_text(path, [f"OFF\n{mesh.vertex_count} {mesh.triangle_count} 0\n"],
+                _format_rows(_XYZ_FORMAT + "\n", mesh.vertices),
+                _format_rows(_FACE_FORMAT, mesh.triangles))
 
 
 def _write_ply(path: Path, mesh: TriangleMesh, colors: np.ndarray | None) -> None:
@@ -274,16 +295,12 @@ def _write_ply(path: Path, mesh: TriangleMesh, colors: np.ndarray | None) -> Non
         header += ["property uchar red", "property uchar green", "property uchar blue"]
     header += [f"element face {mesh.triangle_count}",
                "property list uchar int vertex_indices", "end_header"]
-    out = ["\n".join(header) + "\n"]
-    for row, (x, y, z) in enumerate(mesh.vertices):
-        line = f"{COORD_FORMAT % x} {COORD_FORMAT % y} {COORD_FORMAT % z}"
-        if colors is not None:
-            r, g, b = colors[row]
-            line += f" {r} {g} {b}"
-        out.append(line + "\n")
-    for i, j, k in mesh.triangles:
-        out.append(f"3 {i} {j} {k}\n")
-    path.write_text("".join(out), encoding="utf-8", newline="\n")
+    if colors is None:
+        vertex_lines = _format_rows(_XYZ_FORMAT + "\n", mesh.vertices)
+    else:
+        vertex_lines = _format_rows(_XYZ_FORMAT + " %d %d %d\n", mesh.vertices, colors)
+    _write_text(path, ["\n".join(header) + "\n"], vertex_lines,
+                _format_rows(_FACE_FORMAT, mesh.triangles))
 
 
 def load_labels(path, expected_count: int | None = None) -> np.ndarray:
@@ -304,8 +321,8 @@ def load_labels(path, expected_count: int | None = None) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
-    Path(path).write_text("".join(f"{v}\n" for v in labels), encoding="utf-8", newline="\n")
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 1)
+    _write_text(path, _format_rows("%d\n", labels))
 
 
 def _build_palette() -> np.ndarray:

@@ -1,19 +1,21 @@
 """Atlas-mode and whole-mode orchestration producing a global Parcellation.
 
 Atlas mode runs one k-means per labeled region, whole mode one per
-hemisphere; in both, `workers` bounds the threads that run at once. Each task draws its RNG seed from the base seed XOR a hash of its region id,
-so results never depend on worker count, scheduling, or which other regions
-are in the plan.
+hemisphere; in both, `workers` bounds the threads that run tasks at once,
+and thread_map is the one place threads are started. Each task draws its RNG
+seed from the base seed XOR a hash of its region id, so results never depend
+on worker count, scheduling, or which other regions are in the plan.
 """
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .kmeans import KmeansConfig, parallel_kmeans, thread_map
+from .kmeans import KmeansConfig, parallel_kmeans
 from .mesh_io import TriangleMesh
 from .surface_graph import build_graph, extract_region_subgraph
 from .util import derive_seed
@@ -116,23 +118,32 @@ class ParcellationResult:
         }
 
 
+def thread_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], with at most `workers` calls running at once.
+
+    Results come back in item order, so the output never depends on workers.
+    """
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _run_tasks(graph, labels, tasks, config, workers):
     """Run (region, k) clustering tasks on at most `workers` threads; returns
     per-task (groups, RegionRun).
 
-    Up to `workers` tasks run at once, and each task's medoid updates get the
-    workers left over (workers // tasks, at least 1), so no more than
-    `workers` threads ever run. Tasks are pure and merged in task order, so
-    any pool size gives the same result.
+    Up to `workers` tasks run at once, each on one thread: a task's k-means,
+    medoid updates included, runs on the thread that started it. Tasks are
+    pure and merged in task order, so any pool size gives the same result.
     """
-    inner = max(1, workers // len(tasks))
-
     def one(task):
         region, k = task
         sub, idmap = extract_region_subgraph(graph, labels, region)
         cfg = replace(config, k=k, rng_seed=derive_seed(config.rng_seed, region))
         t0 = time.perf_counter()
-        res = parallel_kmeans(sub, cfg, workers=inner)
+        res = parallel_kmeans(sub, cfg)
         dt = time.perf_counter() - t0
         groups = [idmap[g] for g in res.groups]
         return groups, RegionRun(region=region, k=k, vertex_count=len(idmap),
@@ -201,8 +212,9 @@ def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
     """Subdivide each hemisphere graph into k sub-parcels, ignoring any atlas.
 
     hemisphere_labels must carry one or two distinct labels. With workers > 1
-    the hemispheres run at once, and workers beyond one per hemisphere go to
-    the medoid updates; total sub-parcels = k * number of hemispheres.
+    the two hemispheres run at once, one thread each; workers beyond that
+    stay idle, since a hemisphere's k-means (medoid updates included) runs on
+    one thread. Total sub-parcels = k * number of hemispheres.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -124,13 +124,16 @@ def build_graph(mesh: TriangleMesh) -> SurfaceGraph:
     if len(t):
         e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         e.sort(axis=1)
-        e = np.unique(e, axis=0)
-        w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
+        # One int64 key per edge sorts like its (lo, hi) row.
+        n = mesh.vertex_count
+        key = np.unique(e[:, 0] * n + e[:, 1])
+        lo, hi = key // n, key % n
+        w = np.linalg.norm(mesh.vertices[lo] - mesh.vertices[hi], axis=1)
         w = np.maximum(w, MIN_EDGE_WEIGHT_MM)
     else:
-        e = np.empty((0, 2), dtype=np.int64)
+        lo = hi = np.empty(0, dtype=np.int64)
         w = np.empty(0, dtype=np.float64)
-    return SurfaceGraph(mesh.vertices, e[:, 0], e[:, 1], w)
+    return SurfaceGraph(mesh.vertices, lo, hi, w)
 
 
 def induced_subgraph(graph: SurfaceGraph, vertex_ids) -> SurfaceGraph:
@@ -178,13 +181,17 @@ def extract_region_subgraph(graph: SurfaceGraph, labels,
     return induced_subgraph(graph, ids), ids
 
 
-def _dijkstra(adjacency, sources) -> tuple[list[float], list[int]]:
+def _dijkstra(adjacency, sources, bound=None) -> tuple[list[float], list[int]]:
     """Heap Dijkstra from one or more sources, the one shortest-path loop.
 
     `adjacency` is a pair of per-vertex neighbor and weight lists. Returns
     per-vertex (dist, pos): the minimum distance over the sources and the
     position in `sources` of the source achieving it (-1 where unreachable);
     exact distance ties go to the earlier position.
+
+    `bound`, a per-vertex list, starts dist there instead of at UNREACHABLE;
+    a vertex keeps pos -1 unless some source improves on its bound strictly.
+    Only improved vertices are pushed, so the run visits just those.
     """
     adj_nbrs, adj_wts = adjacency
     n = len(adj_nbrs)
@@ -197,7 +204,7 @@ def _dijkstra(adjacency, sources) -> tuple[list[float], list[int]]:
         if not 0 <= s < n:
             raise ValueError(f"source vertex {s} out of range [0, {n})")
 
-    dist = [UNREACHABLE] * n
+    dist = [UNREACHABLE] * n if bound is None else list(bound)
     pos = [-1] * n
     heap = []
     for p, s in enumerate(src):
@@ -214,7 +221,8 @@ def _dijkstra(adjacency, sources) -> tuple[list[float], list[int]]:
         p = pos[u]
         for v, w in zip(adj_nbrs[u], adj_wts[u]):
             nd = d + w
-            # An edge that does not improve v costs a single comparison.
+            # An edge that does not improve v costs a single comparison. A tie
+            # with a bound (pos -1) is not an improvement.
             if nd <= dist[v] and (nd < dist[v] or p < pos[v]):
                 dist[v] = nd
                 pos[v] = p
@@ -222,9 +230,23 @@ def _dijkstra(adjacency, sources) -> tuple[list[float], list[int]]:
     return dist, pos
 
 
-def sssp(graph: SurfaceGraph, source: int) -> DistanceField:
-    """Exact single-source shortest paths (Dijkstra on a binary heap)."""
-    dist, _pos = _dijkstra(graph._adjacency(), [source])
+def sssp(graph: SurfaceGraph, source: int, bound=None) -> DistanceField:
+    """Exact single-source shortest paths (Dijkstra on a binary heap).
+
+    With `bound` (per-vertex distances), returns exactly
+    np.minimum(bound, sssp(graph, source).dist), visiting only the vertices
+    whose distance drops below their bound. This needs bound[v] <=
+    bound[u] + w on every edge, which holds for UNREACHABLE and for the
+    minimum of earlier sssp fields on this graph (k-means++ seeding passes
+    its nearest-centroid field). Then a path through a vertex it does not
+    improve cannot improve anything after it, since float addition is
+    monotone.
+    """
+    if bound is not None:
+        bound = np.asarray(bound, dtype=np.float64).tolist()
+        if len(bound) != graph.vertex_count:
+            raise ValueError(f"bound has {len(bound)} entries for {graph.vertex_count} vertices")
+    dist, _pos = _dijkstra(graph._adjacency(), [source], bound)
     return DistanceField((int(source),), np.asarray(dist))
 
 

@@ -1,7 +1,8 @@
 """Shared test fixtures: tiny hand-built graphs and randomized bumpy surfaces."""
 import numpy as np
 
-from geosp import SurfaceGraph, TriangleMesh, build_graph
+from geosp import (SurfaceGraph, TriangleMesh, build_graph, concat_meshes, grid_mesh,
+                   icosphere_mesh, wave_sheet_mesh)
 
 
 def path_graph(n: int, spacing: float = 1.0) -> SurfaceGraph:
@@ -47,3 +48,31 @@ def brute_force_triangle_edges(mesh: TriangleMesh) -> dict:
             key = (min(a, b), max(a, b))
             edges[key] = float(np.linalg.norm(mesh.vertices[a] - mesh.vertices[b]))
     return edges
+
+
+MESH_KINDS = ["jittered grid", "unjittered grid", "icosphere", "wave sheet",
+              "two components", "isolated vertices"]
+
+
+def irregular_mesh(kind: str, rng: np.random.Generator) -> TriangleMesh:
+    """One random mesh of a MESH_KINDS kind.
+
+    "two components" is two jittered grids side by side; "isolated vertices"
+    is a jittered grid plus a few vertices on no triangle.
+    """
+    nx, ny = (int(x) for x in rng.integers(3, 12, size=2))
+    if kind == "unjittered grid":
+        return grid_mesh(nx, ny)
+    if kind == "icosphere":
+        return icosphere_mesh(int(rng.integers(0, 3)), radius=float(rng.uniform(1, 20)))
+    if kind == "wave sheet":
+        return wave_sheet_mesh(nx, ny, amplitude=float(rng.uniform(0.5, 5)))
+    mesh = bumpy_grid_mesh(int(rng.integers(1 << 30)), min_side=3, max_side=11)
+    if kind == "two components":
+        other = bumpy_grid_mesh(int(rng.integers(1 << 30)), min_side=2, max_side=6)
+        shifted = TriangleMesh(other.vertices + [30.0, 0, 0], other.triangles)
+        return concat_meshes(mesh, shifted)[0]
+    if kind == "isolated vertices":
+        extra = rng.normal(scale=20, size=(int(rng.integers(1, 4)), 3))
+        return TriangleMesh(np.vstack([mesh.vertices, extra]), mesh.triangles)
+    return mesh

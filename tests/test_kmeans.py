@@ -10,11 +10,11 @@ from geosp import (KmeansConfig, TriangleMesh, bridge_graph, build_graph, calc_g
                    multi_source_sssp, parallel_kmeans, perturb_weights, sssp, stop_criterion,
                    wave_sheet_mesh)
 from geosp import kmeans
-from geosp.kmeans import _cluster_medoid, max_centroid_shift_mm
+from geosp.kmeans import _assign, _cluster_medoid, max_centroid_shift_mm
 from geosp.oracles import oracle_medoid, oracle_sssp
-from geosp.surface_graph import SurfaceGraph
+from geosp.surface_graph import SurfaceGraph, induced_subgraph
 
-from helpers import bumpy_grid_graph, path_graph
+from helpers import MESH_KINDS, bumpy_grid_graph, irregular_mesh, path_graph
 
 DUMBBELL_PATCH = 16  # vertices per blob of the default dumbbell
 
@@ -84,6 +84,33 @@ def test_kmeanspp_unreachable_vertices_stay_selectable():
     for seed in range(20):
         centroids = kmeanspp_init(g, 3, rng_seed=seed)
         assert len(set(centroids)) == 3
+
+
+def _full_dijkstra_seeding(g, k, rng_seed):
+    """k-means++ seeding with one full Dijkstra per centroid, min-merged afterwards."""
+    n = g.vertex_count
+    rng = np.random.default_rng(rng_seed)
+    centroids = [int(rng.integers(n))]
+    nearest = sssp(g, centroids[0]).dist
+    for _ in range(k - 1):
+        d = nearest.copy()
+        missing = np.isinf(d)
+        if missing.any():  # the +1 mm rule for unreachable vertices
+            d[missing] = d[~missing].max() + 1.0
+        cum = np.cumsum(d * d)
+        nxt = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), n - 1)
+        centroids.append(nxt)
+        nearest = np.minimum(nearest, sssp(g, nxt).dist)
+    return centroids
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS), st.integers(1, 15))
+def test_bounded_seeding_equals_full_dijkstra_seeding(seed, kind, k):
+    rng = np.random.default_rng(seed)
+    g = build_graph(irregular_mesh(kind, rng))
+    k = min(k, g.vertex_count)
+    assert kmeanspp_init(g, k, seed) == _full_dijkstra_seeding(g, k, seed)
 
 
 # -- group assignment ----------------------------------------------------------
@@ -219,6 +246,47 @@ def test_pruned_medoid_equals_oracle(seed, kind):
     assert _cluster_medoid(g, ids, previous) == oracle_medoid(g, ids, previous_centroid=previous)
 
 
+def _assigned_case(kind, rng):
+    """(graph, centroids) for a real assignment. On "two components" and
+    "isolated vertices" meshes every centroid lies in the first grid, so the
+    rest of the mesh is assigned by the Euclidean fallback."""
+    mesh = irregular_mesh(kind, rng)
+    g = build_graph(mesh)
+    pool = g.vertex_count
+    if kind in ("two components", "isolated vertices"):
+        pool = int(np.flatnonzero(np.isfinite(sssp(g, 0).dist)).max()) + 1
+    k = int(rng.integers(1, min(5, pool) + 1))
+    return g, rng.choice(pool, size=k, replace=False).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS))
+def test_medoid_from_assignment_field_equals_oracle(seed, kind):
+    g, centroids = _assigned_case(kind, np.random.default_rng(seed))
+    assignment, fallbacks, dist = _assign(g, centroids)
+    if kind in ("two components", "isolated vertices"):
+        assert fallbacks > 0
+    for i, c in enumerate(centroids):
+        ids = np.flatnonzero(assignment == i)
+        # The field restricted to a cluster is the induced-subgraph row, bit for bit.
+        row = sssp(induced_subgraph(g, ids), int(np.searchsorted(ids, c))).dist
+        assert dist[ids].tobytes() == row.tobytes()
+        assert _cluster_medoid(g, ids, c, dist) == oracle_medoid(g, ids, previous_centroid=c)
+    assert comp_centroids(g, assignment, centroids, dist) == comp_centroids(g, assignment,
+                                                                            centroids)
+
+
+def test_field_is_ignored_for_a_cluster_without_its_previous_centroid():
+    g = build_graph(_jittered_rotated_grid(9, 8, np.random.default_rng(5)))
+    ids = np.flatnonzero(np.arange(g.vertex_count) % 9 >= 3)  # columns 3..8
+    for previous in (0, 19, 65):  # in column 0, 1 or 2: outside the cluster
+        dist = sssp(g, previous).dist
+        assert _cluster_medoid(g, ids, previous, dist) == oracle_medoid(g, ids)
+    g = path_graph(5)
+    with pytest.raises(ValueError, match="disconnected"):
+        _cluster_medoid(g, np.array([0, 1, 3, 4]), 2, sssp(g, 2).dist)
+
+
 def test_medoid_ties_go_to_smallest_index():
     # Even path: the two middle vertices tie exactly. 4 x 4 grid: vertices 5
     # and 10 map onto each other under a half turn, so their sums tie.
@@ -318,15 +386,14 @@ def test_bridge_partition_over_seeds():
         assert groups == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
 
 
-def test_parallel_kmeans_deterministic_and_worker_independent():
+def test_parallel_kmeans_deterministic():
     g = bumpy_grid_graph(11, min_side=22, max_side=22)  # ~500 vertices
     config = KmeansConfig(k=5, rng_seed=21)
     a = parallel_kmeans(g, config)
     b = parallel_kmeans(g, config)
-    c = parallel_kmeans(g, config, workers=4)
-    for x, y, z in zip(a.groups, b.groups, c.groups):
-        assert np.array_equal(x, y) and np.array_equal(x, z)
-    assert a.centroids == b.centroids == c.centroids
+    for x, y in zip(a.groups, b.groups):
+        assert np.array_equal(x, y)
+    assert a.centroids == b.centroids
 
 
 @settings(max_examples=20, deadline=None)

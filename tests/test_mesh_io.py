@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geosp import (FormatError, TriangleMesh, color_for_id, concat_meshes,
-                   load_labels, load_mesh, write_labels, write_mesh,
+                   load_labels, load_mesh, save_matrix, write_labels, write_mesh,
                    write_parcellation)
+from geosp import mesh_io
 from geosp.mesh_io import PALETTE_SIZE
 
 from helpers import bumpy_grid_mesh, right_triangle_mesh
@@ -208,3 +209,69 @@ def test_concat_meshes():
     assert merged.vertex_count == 6
     assert merged.triangles.tolist() == [[0, 1, 2], [3, 4, 5]]
     assert labels.tolist() == [0, 0, 0, 1, 1, 1]
+
+
+# -- writer bytes ------------------------------------------------------------------
+
+
+def _per_row_vertex(x, y, z, rgb=None):
+    line = f"{'%.6f' % x} {'%.6f' % y} {'%.6f' % z}"
+    if rgb is not None:
+        r, g, b = rgb
+        line += f" {r} {g} {b}"
+    return line + "\n"
+
+
+def _per_row_off(mesh):
+    out = [f"OFF\n{mesh.vertex_count} {mesh.triangle_count} 0\n"]
+    out += [_per_row_vertex(*v) for v in mesh.vertices]
+    out += [f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles]
+    return "".join(out).encode()
+
+
+def _per_row_ply(mesh, colors=None):
+    header = ["ply", "format ascii 1.0", f"element vertex {mesh.vertex_count}",
+              "property float x", "property float y", "property float z"]
+    if colors is not None:
+        header += ["property uchar red", "property uchar green", "property uchar blue"]
+    header += [f"element face {mesh.triangle_count}",
+               "property list uchar int vertex_indices", "end_header"]
+    out = ["\n".join(header) + "\n"]
+    out += [_per_row_vertex(*v, None if colors is None else colors[i])
+            for i, v in enumerate(mesh.vertices)]
+    out += [f"3 {i} {j} {k}\n" for i, j, k in mesh.triangles]
+    return "".join(out).encode()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, mesh_io.WRITE_BLOCK_ROWS])
+@pytest.mark.parametrize("seed", range(3))
+def test_writer_bytes_equal_per_row_formatting(tmp_path, monkeypatch, block_rows, seed):
+    monkeypatch.setattr(mesh_io, "WRITE_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(seed)
+    base = bumpy_grid_mesh(seed, min_side=4, max_side=9)
+    v = base.vertices * rng.uniform(-500, 500, size=3) + rng.normal(scale=100, size=3)
+    v[:4] = [[-0.0, 0.0, -1e-9], [-2.5e-7, 5e-7, -5e-7], [1e6, -1e6, 0.1234565],
+             [-0.0, -0.0, -0.0]]  # signed zeros and half-way rounding
+    mesh = TriangleMesh(v, base.triangles)
+    colors = rng.integers(0, 256, size=(mesh.vertex_count, 3))
+    write_mesh(tmp_path / "m.off", mesh)
+    write_mesh(tmp_path / "m.ply", mesh)
+    write_mesh(tmp_path / "c.ply", mesh, colors=colors)
+    assert (tmp_path / "m.off").read_bytes() == _per_row_off(mesh)
+    assert (tmp_path / "m.ply").read_bytes() == _per_row_ply(mesh)
+    assert (tmp_path / "c.ply").read_bytes() == _per_row_ply(mesh, colors)
+
+    sub = rng.integers(0, 2000, size=mesh.vertex_count)
+    txt, ply = write_parcellation(tmp_path / "p", sub, mesh)
+    assert txt.read_bytes() == "".join(f"{s}\n" for s in sub).encode()
+    assert ply.read_bytes() == _per_row_ply(mesh, [color_for_id(s) for s in sub])
+
+    labels = rng.integers(0, 2**62, size=int(rng.integers(0, 30)))
+    write_labels(tmp_path / "l.txt", labels)
+    assert (tmp_path / "l.txt").read_bytes() == "".join(f"{x}\n" for x in labels).encode()
+
+    for p in (0, 1, int(rng.integers(2, 40))):
+        m = rng.integers(-5, 10**6, size=(p, p))
+        save_matrix(tmp_path / "x.txt", m)
+        want = f"{p}\n" + "".join(" ".join(str(x) for x in row) + "\n" for row in m)
+        assert (tmp_path / "x.txt").read_bytes() == want.encode()

@@ -215,10 +215,10 @@ def test_whole_mode_runs_at_most_workers_threads():
     mesh, _regions, hemis = atlas_mesh(40, 42)
     # Two hemispheres: one thread each, none left over for medoid updates.
     assert _peak_extra_threads(lambda: parcellate_whole_mode(mesh, hemis, 10, workers=2)) <= 2
-    # One hemisphere: both workers go to its medoid updates.
+    # One hemisphere: one task, run on the calling thread, so no thread starts.
     grid = grid_mesh(40, 42)
     single = np.zeros(grid.vertex_count, dtype=np.int64)
-    assert _peak_extra_threads(lambda: parcellate_whole_mode(grid, single, 10, workers=2)) == 2
+    assert _peak_extra_threads(lambda: parcellate_whole_mode(grid, single, 10, workers=2)) == 0
 
 
 def test_whole_mode_k_exceeds_hemisphere():

@@ -9,8 +9,8 @@ from geosp.oracles import oracle_apsp as apsp, oracle_sssp
 from geosp.surface_graph import MIN_EDGE_WEIGHT_MM, _induced_adjacency
 from geosp.surface_graph import apsp as dijkstra_apsp
 
-from helpers import (brute_force_triangle_edges, bumpy_grid_graph,
-                     bumpy_grid_mesh, path_graph, right_triangle_mesh)
+from helpers import (MESH_KINDS, brute_force_triangle_edges, bumpy_grid_graph,
+                     bumpy_grid_mesh, irregular_mesh, path_graph, right_triangle_mesh)
 
 
 # -- graph construction ------------------------------------------------------
@@ -39,6 +39,18 @@ def test_grid_edges_match_brute_force():
     assert got.keys() == expected.keys()
     for key, w in expected.items():
         assert got[key] == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", MESH_KINDS)
+def test_edges_are_the_sorted_unique_triangle_sides(kind):
+    mesh = irregular_mesh(kind, np.random.default_rng(len(kind)))
+    t = mesh.triangles
+    sides = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    rows = np.unique(sides, axis=0)
+    eu, ev, ew = build_graph(mesh).edges()
+    np.testing.assert_array_equal(np.column_stack([eu, ev]), rows)
+    norms = np.linalg.norm(mesh.vertices[rows[:, 0]] - mesh.vertices[rows[:, 1]], axis=1)
+    assert ew.tobytes() == norms.tobytes()
 
 
 def test_zero_length_edge_clamped():
@@ -154,6 +166,29 @@ def test_sssp_symmetry_and_relaxation(seed):
     eu, ev, ew = g.edges()
     assert np.all(fa.dist[ev] <= fa.dist[eu] + ew + 1e-12)
     assert np.all(fa.dist[eu] <= fa.dist[ev] + ew + 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS), st.integers(0, 4))
+def test_bounded_sssp_is_minimum_with_full_run(seed, kind, n_bound_sources):
+    # The bound is all-inf, or the minimum of 1-4 earlier fields: inf on
+    # every component none of its sources reaches.
+    rng = np.random.default_rng(seed)
+    g = build_graph(irregular_mesh(kind, rng))
+    bound = np.full(g.vertex_count, np.inf)
+    for s in rng.integers(g.vertex_count, size=n_bound_sources):
+        bound = np.minimum(bound, sssp(g, int(s)).dist)
+    before = bound.copy()
+    source = int(rng.integers(g.vertex_count))
+    got = sssp(g, source, bound)
+    assert got.dist.tobytes() == np.minimum(bound, sssp(g, source).dist).tobytes()
+    assert got.sources == (source,) and got.dist[source] == 0.0
+    assert bound.tobytes() == before.tobytes()  # the bound is not written to
+
+
+def test_bounded_sssp_rejects_wrong_length():
+    with pytest.raises(ValueError, match="bound"):
+        sssp(path_graph(3), 0, np.zeros(2))
 
 
 # -- multi-source -------------------------------------------------------------
