@@ -3,8 +3,8 @@
 
 For a range of total sub-parcel counts on the same synthetic cortex, times
 both modes and prints a table. Atlas mode stays cheap as the count grows
-(small per-region problems), while whole mode grows with it (the per-cluster
-all-pairs step runs on hemisphere-sized graphs).
+(small per-region problems), while whole mode grows with it (seeding,
+assignment and the medoid searches run on hemisphere-sized graphs).
 """
 import argparse
 import time

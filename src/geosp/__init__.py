@@ -5,7 +5,7 @@ distances (per labeled region, or per hemisphere), and evaluates parcellations
 through binarized connectivity matrices and Dice reproducibility.
 """
 
-from .connectivity import (binarize, build_connectivity_matrix, dice_coefficient,
+from .connectivity import (Fibers, binarize, build_connectivity_matrix, dice_coefficient,
                            load_fibers, load_matrix, map_endpoint_to_vertex,
                            pairwise_dice, save_matrix, write_fibers)
 from .kmeans import (KmeansConfig, KmeansResult, calc_groups, comp_centroids,

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
 
-from .mesh_io import FormatError, TriangleMesh, _format_rows, _write_text
+from .mesh_io import (_FLOAT_CHARS, _INT64_LIMITS, READ_BLOCK_LINES, FormatError, TriangleMesh,
+                      _block_bytes, _format_rows, _parse_numbers, _parse_rows,
+                      _significant_lines, _token_starts, _write_text)
 
 # Blocks keep the temporaries near 1 MB: endpoints whose grid cells are
 # looked up together, and about how many (endpoint, vertex) distances one
@@ -27,6 +31,11 @@ _DISTANCE_BLOCK = 1 << 14
 _EXACT_MARGIN = 1e-6
 _MAX_CELLS_PER_AXIS = 1 << 20  # keeps cell keys far inside int64
 _SAMPLED_TRIANGLES = 4096
+# A point whose 27 cells hold at least 1/_BRUTE_FORCE_SHARE of the vertices
+# goes to the brute-force scan: gathering that many candidates costs about as
+# much as scanning all N contiguously, and a miss would go on to a coarser grid.
+_BRUTE_FORCE_SHARE = 4
+_BRUTE_FORCE = -2
 
 
 def _squared_norms(d: np.ndarray) -> np.ndarray:
@@ -111,17 +120,21 @@ class _VertexGrid:
         result[np.flatnonzero(hit)[exact]] = win[exact]
         return result
 
-    def snap(self, points: np.ndarray) -> np.ndarray:
-        """`nearest` over all points, in blocks of endpoints and of distances."""
+    def snap(self, points: np.ndarray, limit: int) -> np.ndarray:
+        """`nearest` over all points, in blocks of endpoints and of distances;
+        _BRUTE_FORCE for a point whose 27 cells hold `limit` vertices or more."""
         out = np.empty(len(points), dtype=np.int64)
         for s in range(0, len(points), _ENDPOINT_BLOCK):
             block = points[s:s + _ENDPOINT_BLOCK]
             start, count = self.ranges(block)
+            heavy = count.sum(axis=1) >= limit
+            count[heavy] = 0
             per_point = count.sum(axis=1)
             piece = (np.cumsum(per_point) - per_point) // _DISTANCE_BLOCK
             cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1), len(block)]
             for a, b in zip(cuts, cuts[1:]):
                 out[s + a:s + b] = self.nearest(block[a:b], start[a:b], count[a:b])
+            out[s:s + len(block)][heavy] = _BRUTE_FORCE
         return out
 
 
@@ -137,12 +150,13 @@ def map_endpoint_to_vertex(point, mesh: TriangleMesh):
     are searched again on a grid with twice the cell, and so on until the grid
     spans at most 3 cells per axis; what is left (points farther from the mesh
     than about a third of its extent) gets a brute-force `argmin` over all
-    vertices, in blocks. All paths compute squared distances with the same
-    expression and resolve ties to the smallest index, so the result is the
-    full scan's, bit for bit. Cost: O(N log N) per grid level built, then
-    about the vertices of 27 cells per point; a point at distance d from the
-    mesh needs about log2(d / cell) levels, and one that falls through costs
-    O(N).
+    vertices, in blocks. A point whose 27 cells hold a quarter of the vertices
+    or more goes to that scan at once. All paths compute squared distances
+    with the same expression and resolve ties to the smallest index, so the
+    result is the full scan's, bit for bit. Cost: O(N log N) per grid level
+    built, then about the vertices of 27 cells per point; a point at
+    distance d from the mesh needs about log2(d / cell) levels, and one that
+    falls through costs O(N).
     """
     points = np.asarray(point, dtype=np.float64)
     single = points.ndim != 2
@@ -156,14 +170,16 @@ def map_endpoint_to_vertex(point, mesh: TriangleMesh):
 
     nearest = np.full(len(points), -1, dtype=np.int64)
     pending = np.arange(len(points))
+    limit = max(1, mesh.vertex_count // _BRUTE_FORCE_SHARE)
     h = _cell_size(mesh)
     while len(pending):
         grid = _VertexGrid(mesh.vertices, h)
-        nearest[pending] = grid.snap(points[pending])
-        pending = pending[nearest[pending] < 0]
+        nearest[pending] = grid.snap(points[pending], limit)
+        pending = pending[nearest[pending] == -1]
         if grid.dims.max() <= 3:  # 27 cells hold every vertex: a coarser grid finds no more
             break
         h *= 2
+    pending = np.flatnonzero(nearest < 0)
 
     rows = max(1, _DISTANCE_BLOCK // mesh.vertex_count)
     for s in range(0, len(pending), rows):
@@ -173,8 +189,54 @@ def map_endpoint_to_vertex(point, mesh: TriangleMesh):
     return int(nearest[0]) if single else nearest
 
 
-def _endpoint_vertices(fibers, mesh: TriangleMesh) -> np.ndarray:
-    """(2F,) int64 vertex of every endpoint, in fiber order: a, b of fiber 0, then fiber 1, ..."""
+class Fibers(Sequence):
+    """Fibers held as arrays: endpoint e of fiber f is entry 2f + e.
+
+    `is_point` says which endpoints are 3D points, `vertex` holds the vertex
+    index of the others (0 for points), and the rows of the (M, 3) `points`
+    are the point endpoints in endpoint order. Indexing and iteration give
+    the (a, b) pairs a list of fibers holds: an int per vertex endpoint and a
+    float64 (3,) array per point endpoint.
+    """
+
+    def __init__(self, is_point, vertex, points):
+        self.is_point = np.asarray(is_point, dtype=bool).reshape(-1)
+        self.vertex = np.asarray(vertex, dtype=np.int64).reshape(-1)
+        self.points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        if (len(self.is_point) % 2 or len(self.vertex) != len(self.is_point)
+                or len(self.points) != np.count_nonzero(self.is_point)):
+            raise ValueError("need two endpoints per fiber, one vertex entry per endpoint "
+                             "and one point row per point endpoint")
+
+    def __len__(self) -> int:
+        return len(self.is_point) // 2
+
+    def _endpoint(self, e: int):
+        if self.is_point[e]:
+            return self.points[np.count_nonzero(self.is_point[:e])].copy()
+        return int(self.vertex[e])
+
+    def __getitem__(self, f):
+        f = operator.index(f)
+        if not -len(self) <= f < len(self):
+            raise IndexError("fiber index out of range")
+        f %= len(self)
+        return self._endpoint(2 * f), self._endpoint(2 * f + 1)
+
+    def __iter__(self):
+        points = map(np.array, self.points)
+        ends = (next(points) if p else v
+                for p, v in zip(self.is_point.tolist(), self.vertex.tolist()))
+        return zip(ends, ends)
+
+
+def _fibers_from_pairs(fibers, vertex_count: int) -> Fibers:
+    """A list of (a, b) endpoint pairs as Fibers, each endpoint checked.
+
+    An endpoint is a vertex index (an integer; integral floats are accepted,
+    bools and fractions are not; checked against [0, vertex_count) before any
+    cast) or a 3D point.
+    """
     fibers = list(fibers)
     sizes = np.fromiter(map(len, fibers), dtype=np.int64, count=len(fibers))
     if np.any(sizes != 2):
@@ -201,13 +263,27 @@ def _endpoint_vertices(fibers, mesh: TriangleMesh) -> np.ndarray:
         else:
             is_point |= mask
             continue
-        outside = (ids < 0) | (ids >= mesh.vertex_count)
+        outside = (ids < 0) | (ids >= vertex_count)
         if outside.any():
             raise ValueError(f"fiber endpoint vertex {ends[mask][outside][0]} out of range")
         vertex[mask] = ids.astype(np.int64)
-    if is_point.any():
-        points = np.array(ends[is_point].tolist(), dtype=np.float64).reshape(int(is_point.sum()), -1)
-        vertex[is_point] = map_endpoint_to_vertex(points, mesh)
+    n_points = int(is_point.sum())
+    points = (np.array(ends[is_point].tolist(), dtype=np.float64).reshape(n_points, -1)
+              if n_points else np.empty((0, 3)))
+    if points.shape[1] != 3:
+        raise ValueError(f"fiber endpoints must be 3D points, got shape {points.shape}")
+    return Fibers(is_point, vertex, points)
+
+
+def _endpoint_vertices(fibers: Fibers, mesh: TriangleMesh) -> np.ndarray:
+    """(2F,) int64 vertex of every endpoint, in fiber order: a, b of fiber 0, then fiber 1, ..."""
+    ids = fibers.vertex[~fibers.is_point]
+    outside = (ids < 0) | (ids >= mesh.vertex_count)
+    if outside.any():
+        raise ValueError(f"fiber endpoint vertex {ids[outside][0]} out of range")
+    vertex = fibers.vertex.copy()
+    if len(fibers.points):
+        vertex[fibers.is_point] = map_endpoint_to_vertex(fibers.points, mesh)
     return vertex
 
 
@@ -219,11 +295,13 @@ def build_connectivity_matrix(fibers, parcellation, mesh: TriangleMesh) -> np.nd
     once. The upper triangle (diagonal included) therefore sums to the fiber
     count.
 
-    An endpoint is a vertex index (an integer; integral floats are accepted,
-    bools and fractions are not) or a 3D point. Vertex endpoints are checked
-    all at once, all point endpoints are snapped in one
-    `map_endpoint_to_vertex` call, and the cells are counted with one
-    `np.bincount` and then mirrored. Negative sub-parcel ids are rejected.
+    `fibers` is a `Fibers` (as `load_fibers` returns) or a sequence of
+    (a, b) endpoint pairs. An endpoint is a vertex index (an integer; integral
+    floats are accepted, bools and fractions are not) or a 3D point. Pairs
+    are turned into `Fibers` once; then vertex endpoints are checked all at
+    once, all point endpoints are snapped in one `map_endpoint_to_vertex`
+    call, and the cells are counted with one `np.bincount` and then
+    mirrored. Negative sub-parcel ids are rejected.
     """
     sub = np.asarray(getattr(parcellation, "sub_parcel", parcellation), dtype=np.int64)
     if len(sub) != mesh.vertex_count:
@@ -232,6 +310,8 @@ def build_connectivity_matrix(fibers, parcellation, mesh: TriangleMesh) -> np.nd
         v = int(np.argmin(sub))
         raise ValueError(f"parcellation has negative sub-parcel id {sub[v]} at vertex {v}")
     n_parcels = int(sub.max()) + 1
+    if not isinstance(fibers, Fibers):
+        fibers = _fibers_from_pairs(fibers, mesh.vertex_count)
     parcels = sub[_endpoint_vertices(fibers, mesh)]
     cells = np.bincount(parcels[0::2] * n_parcels + parcels[1::2],
                         minlength=n_parcels * n_parcels).reshape(n_parcels, n_parcels)
@@ -307,6 +387,7 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a `save_matrix` file; the rows are parsed in bulk when they are plain integers."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -315,8 +396,13 @@ def load_matrix(path) -> np.ndarray:
         p = int(lines[0].strip())
     except ValueError:
         raise FormatError(path, 1, "first line must be the matrix size P") from None
+    if p < 0:
+        raise FormatError(path, 1, f"matrix size must be non-negative, got {p}")
     if len(lines) < p + 1:
         raise FormatError(path, len(lines) + 1, f"expected {p} matrix rows, got {len(lines) - 1}")
+    m = _parse_rows(lines[1:p + 1], p, int)
+    if m is not None:
+        return m
     m = np.zeros((p, p), dtype=np.int64)
     for r in range(p):
         parts = lines[r + 1].split()
@@ -326,6 +412,8 @@ def load_matrix(path) -> np.ndarray:
             m[r] = [int(x) for x in parts]
         except ValueError:
             raise FormatError(path, r + 2, "matrix entries must be integers") from None
+        except OverflowError:
+            raise FormatError(path, r + 2, "matrix entry does not fit in int64") from None
     return m
 
 
@@ -342,33 +430,96 @@ def write_fibers(path, fibers) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
 
 
-def load_fibers(path) -> list:
+def _parse_endpoint(path, no: int, token: str):
+    if token.startswith("v:"):
+        try:
+            vertex = int(token[2:])
+        except ValueError:
+            raise FormatError(path, no, f"bad vertex endpoint {token!r}") from None
+        if not _INT64_LIMITS[0] <= vertex <= _INT64_LIMITS[1]:
+            raise FormatError(path, no, f"fiber endpoint vertex {vertex} out of range")
+        return vertex
+    if token.startswith("p:"):
+        parts = token[2:].split(",")
+        try:
+            coords = [float(x) for x in parts]
+            if len(coords) != 3 or not all(map(math.isfinite, coords)):
+                raise ValueError
+        except ValueError:
+            raise FormatError(path, no, f"bad point endpoint {token!r}") from None
+        return np.array(coords)
+    raise FormatError(path, no, f"endpoint must start with 'v:' or 'p:', got {token!r}")
+
+
+def _fiber_arrays(lines) -> tuple | None:
+    """(is_point, vertex, points) of plain 'v:i' / 'p:x,y,z' lines, parsed in
+    two np.fromstring passes (vertex ids, point coordinates); None when the
+    caller must parse line by line (see mesh_io's bulk parsing)."""
+    block = _block_bytes(lines, _FLOAT_CHARS + b"vp:,")
+    starts = None if block is None else _token_starts(block, 2)
+    if starts is None:
+        return None
+    kind = block[starts]
+    is_point = kind == ord("p")
+    # Every token opens with 'v:' or 'p:'; a 'v', 'p' or ':' anywhere else
+    # stops a number pass below.
+    if not np.all(is_point | (kind == ord("v"))) or not np.all(block[starts + 1] == ord(":")):
+        return None
+    numbers = block.copy()
+    numbers[starts] = numbers[starts + 1] = ord(" ")
+    commas = np.flatnonzero(numbers == ord(","))
+    token_of_comma = np.searchsorted(starts, commas, side="right") - 1
+    per_token = np.bincount(token_of_comma, minlength=len(starts))
+    if not np.array_equal(per_token, 2 * is_point):  # 'x,y,z': fields then come in threes
+        return None
+    numbers[commas] = ord(" ")
+    # Blank the other kind's characters, so each pass reads one kind of number.
+    in_point = np.repeat(np.r_[False, is_point], np.diff(starts, prepend=0, append=len(numbers)))
+    blank = np.uint8(ord(" "))
+    n_points = int(is_point.sum())
+    ids = (_parse_numbers(np.where(in_point, blank, numbers), int, len(starts) - n_points)
+           if n_points < len(starts) else [])
+    coords = (_parse_numbers(np.where(in_point, numbers, blank), float, 3 * n_points)
+              if n_points else np.empty(0))
+    if ids is None or coords is None:
+        return None
+    vertex = np.zeros(len(starts), dtype=np.int64)
+    vertex[~is_point] = ids
+    return is_point, vertex, coords.reshape(-1, 3)
+
+
+def _fibers_in_bulk(lines) -> Fibers | None:
+    """Fibers of plain lines, parsed READ_BLOCK_LINES lines at a time; None
+    when the caller must parse line by line."""
+    parts = []
+    for start in range(0, len(lines), READ_BLOCK_LINES):
+        part = _fiber_arrays(lines[start:start + READ_BLOCK_LINES])
+        if part is None:
+            return None
+        parts.append(part)
+    if not parts:
+        return Fibers([], [], [])
+    return Fibers(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+def load_fibers(path) -> Fibers:
+    """Read a `write_fibers` file (blank lines and # comments are skipped).
+
+    Plain files are parsed in bulk; any other file line by line, which
+    reports the first bad line as file:line.
+    """
     path = Path(path)
-
-    def parse(no: int, token: str):
-        if token.startswith("v:"):
-            try:
-                return int(token[2:])
-            except ValueError:
-                raise FormatError(path, no, f"bad vertex endpoint {token!r}") from None
-        if token.startswith("p:"):
-            parts = token[2:].split(",")
-            try:
-                coords = [float(x) for x in parts]
-                if len(coords) != 3 or not all(map(math.isfinite, coords)):
-                    raise ValueError
-            except ValueError:
-                raise FormatError(path, no, f"bad point endpoint {token!r}") from None
-            return np.array(coords)
-        raise FormatError(path, no, f"endpoint must start with 'v:' or 'p:', got {token!r}")
-
-    fibers = []
-    for no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    line_numbers, lines = _significant_lines(path.read_text(encoding="utf-8"))
+    fibers = _fibers_in_bulk(lines)
+    if fibers is not None:
+        return fibers
+    pairs = []
+    for no, line in zip(line_numbers, lines):
         tokens = line.split()
         if len(tokens) != 2:
             raise FormatError(path, no, f"expected two endpoints per line, got {len(tokens)}")
-        fibers.append((parse(no, tokens[0]), parse(no, tokens[1])))
-    return fibers
+        pairs.append((_parse_endpoint(path, no, tokens[0]), _parse_endpoint(path, no, tokens[1])))
+    ends = list(chain.from_iterable(pairs))
+    is_point = [isinstance(e, np.ndarray) for e in ends]
+    return Fibers(is_point, [0 if p else e for p, e in zip(is_point, ends)],
+                  [e for p, e in zip(is_point, ends) if p])

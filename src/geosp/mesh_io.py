@@ -7,7 +7,6 @@ integer per line with LF terminators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -58,12 +57,97 @@ class TriangleMesh:
         return len(self.triangles)
 
 
-def _significant_lines(text: str):
-    """Yield (1-based line number, stripped line), skipping blanks and # comments."""
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield no, line
+def _significant_lines(text: str) -> tuple[list[int] | range, list[str]]:
+    """1-based numbers and stripped text of the lines that are neither blank nor # comments."""
+    lines = list(map(str.strip, text.splitlines()))
+    if "" not in lines and "#" not in text:
+        return range(1, len(lines) + 1), lines
+    numbers = [no for no, line in enumerate(lines, start=1) if line and line[0] != "#"]
+    return numbers, [lines[no - 1] for no in numbers]
+
+
+# -- bulk number parsing ----------------------------------------------------------
+#
+# A block of lines is parsed in one C-level `np.fromstring` pass when that
+# gives exactly what the per-line parser would: the block is ASCII digits,
+# signs, separators and (for floats) '.', 'e', 'E'; every line holds the
+# expected number of tokens; every integer sign is followed by a digit (strtoll
+# reads a lone sign as 0); no integer saturated at the int64 limits; and every
+# float is finite. On those tokens np.fromstring and int()/float() agree bit for
+# bit (float parsing is Python's own correctly rounded one). Otherwise the
+# caller parses the block line by line, which raises the file:line error of the
+# first bad line or, for tokens only int()/float() accept (`1_000`), returns the
+# same arrays as before.
+
+_INT_CHARS = b"0123456789+-"
+_FLOAT_CHARS = _INT_CHARS + b".eE"
+_INT64_LIMITS = (np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+READ_BLOCK_LINES = 4096  # lines per bulk pass: keeps its temporaries near 1 MB
+
+
+def _block_bytes(lines, allowed: bytes) -> np.ndarray | None:
+    """`lines` joined by LF, with a final LF, as read-only uint8; None if a
+    character other than `allowed`, space, tab or LF occurs."""
+    try:
+        data = "\n".join([*lines, ""]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if data.translate(None, allowed + b" \t\n"):
+        return None
+    return np.frombuffer(data, dtype=np.uint8)
+
+
+def _token_starts(block: np.ndarray, width: int) -> np.ndarray | None:
+    """Offsets of the tokens of a `_block_bytes` block; None unless every line
+    holds exactly `width` tokens (a total alone would let a short line and a
+    long one balance)."""
+    gap = block <= ord(" ")
+    first = ~gap
+    first[1:] &= gap[:-1]
+    starts = np.flatnonzero(first)
+    line_ends = np.flatnonzero(block == ord("\n"))
+    through = np.searchsorted(starts, line_ends)  # tokens up to the end of each line
+    if not np.array_equal(through, np.arange(1, len(line_ends) + 1) * width):
+        return None
+    return starts
+
+
+def _parse_numbers(block: np.ndarray, dtype, count: int) -> np.ndarray | None:
+    """The `count` numbers of a checked block in one np.fromstring pass, or None."""
+    if dtype is int:
+        signs = np.flatnonzero((block == ord("+")) | (block == ord("-")))
+        if np.any(block[signs + 1] - np.uint8(ord("0")) > 9):
+            return None
+    text = block.view()
+    text.flags.writeable = False  # np.fromstring reads read-only buffers only
+    try:
+        values = np.fromstring(text, dtype=np.int64 if dtype is int else np.float64, sep=" ")
+    except ValueError:  # a token np.fromstring cannot read
+        return None
+    if len(values) != count:
+        return None
+    if dtype is int and np.isin(values, _INT64_LIMITS).any():  # strtoll saturates
+        return None
+    if dtype is float and not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_rows(lines, width: int, dtype) -> np.ndarray | None:
+    """(len(lines), width) int64 (dtype int) or float64 (dtype float) array of
+    the numbers on `lines`, parsed in bulk READ_BLOCK_LINES lines at a time;
+    None when the caller must parse the lines one by one (see above)."""
+    rows = np.empty((len(lines), width), dtype=np.int64 if dtype is int else np.float64)
+    for start in range(0, len(lines), READ_BLOCK_LINES):
+        block_lines = lines[start:start + READ_BLOCK_LINES]
+        block = _block_bytes(block_lines, _INT_CHARS if dtype is int else _FLOAT_CHARS)
+        if block is None or _token_starts(block, width) is None:
+            return None
+        values = _parse_numbers(block, dtype, width * len(block_lines))
+        if values is None:
+            return None
+        rows[start:start + len(block_lines)] = values.reshape(-1, width)
+    return rows
 
 
 def _parse_face_tokens(path, no, tokens, vertex_count):
@@ -81,66 +165,77 @@ def _parse_face_tokens(path, no, tokens, vertex_count):
     return i, j, k
 
 
-def _reject_non_finite(path, vertices: np.ndarray, vertex_lines) -> None:
-    """Raise FormatError at the first vertex with a nan or inf coordinate.
+def _faces(path, numbers, lines, vertex_count) -> np.ndarray:
+    """(m, 3) triangles of the face lines '3 i j k'; bulk, else line by line."""
+    rows = _parse_rows(lines, 4, int)
+    if rows is not None:
+        t = rows[:, 1:]
+        bad = ((rows[:, 0] != 3) | np.any((t < 0) | (t >= vertex_count), axis=1)
+               | (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2]))
+        if not bad.any():
+            return t.copy()
+    return np.array([_parse_face_tokens(path, no, line.split(), vertex_count)
+                     for no, line in zip(numbers, lines)], dtype=np.int64).reshape(-1, 3)
 
-    vertex_lines holds (line number, line) per vertex row; it is read only
-    when such a vertex exists, so finite meshes pay one vectorised check.
-    """
+
+def _reject_non_finite(path, vertices: np.ndarray, numbers, lines) -> None:
+    """Raise FormatError at the first vertex with a nan or inf coordinate."""
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if len(bad):
-        no, line = next(islice(vertex_lines, int(bad[0]), None))
-        raise FormatError(path, no, f"non-finite vertex coordinates: {line!r}")
+        row = int(bad[0])
+        raise FormatError(path, numbers[row], f"non-finite vertex coordinates: {lines[row]!r}")
 
 
-def _load_off(path: Path, text: str) -> TriangleMesh:
-    lines = _significant_lines(text)
+def _load_off(path: Path) -> TriangleMesh:
+    numbers, lines = _significant_lines(path.read_text(encoding="utf-8"))
+    if not lines:
+        raise FormatError(path, 1, "empty file")
+    if lines[0] != "OFF":
+        raise FormatError(path, numbers[0], f"expected 'OFF' header, got {lines[0]!r}")
+    if len(lines) < 2:
+        raise FormatError(path, numbers[0] + 1, "missing counts line 'nv nf ne'")
     try:
-        no, header = next(lines)
-    except StopIteration:
-        raise FormatError(path, 1, "empty file") from None
-    if header != "OFF":
-        raise FormatError(path, no, f"expected 'OFF' header, got {header!r}")
-    try:
-        no, counts = next(lines)
-        nv, nf, _ne = (int(t) for t in counts.split())
-    except StopIteration:
-        raise FormatError(path, no + 1, "missing counts line 'nv nf ne'") from None
+        nv, nf, _ne = (int(t) for t in lines[1].split())
     except ValueError:
-        raise FormatError(path, no, "counts line must be three integers 'nv nf ne'") from None
+        raise FormatError(path, numbers[1],
+                          "counts line must be three integers 'nv nf ne'") from None
     if nv == 0:
-        raise FormatError(path, no, "empty vertex list")
+        raise FormatError(path, numbers[1], "empty vertex list")
+    if nv < 0 or nf < 0:
+        raise FormatError(path, numbers[1], f"negative vertex or face count: {lines[1]!r}")
 
-    vertices = np.empty((nv, 3), dtype=np.float64)
-    for row in range(nv):
-        try:
-            no, line = next(lines)
-        except StopIteration:
-            raise FormatError(path, no + 1, f"expected {nv} vertex lines, got {row}") from None
-        parts = line.split()
-        try:
-            if len(parts) != 3:
-                raise ValueError
-            vertices[row] = [float(p) for p in parts]
-        except ValueError:
-            raise FormatError(path, no, f"expected 'x y z' coordinates, got {line!r}") from None
-    _reject_non_finite(path, vertices, islice(_significant_lines(text), 2, None))
+    # Slices stop at the lines present, so counts larger than the file
+    # allocate nothing before the line-by-line pass reports the shortfall.
+    end = 2 + nv
+    vertices = _parse_rows(lines[2:end], 3, float) if len(lines) >= end else None
+    if vertices is None:
+        rows = []
+        for no, line in zip(numbers[2:end], lines[2:end]):
+            parts = line.split()
+            try:
+                if len(parts) != 3:
+                    raise ValueError
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise FormatError(path, no, f"expected 'x y z' coordinates, got {line!r}") from None
+        if len(rows) < nv:
+            raise FormatError(path, numbers[-1] + 1, f"expected {nv} vertex lines, got {len(rows)}")
+        vertices = np.array(rows, dtype=np.float64)
+        _reject_non_finite(path, vertices, numbers[2:end], lines[2:end])
 
-    triangles = np.empty((nf, 3), dtype=np.int64)
-    for row in range(nf):
-        try:
-            no, line = next(lines)
-        except StopIteration:
-            raise FormatError(path, no + 1, f"expected {nf} face lines, got {row}") from None
-        triangles[row] = _parse_face_tokens(path, no, line.split(), nv)
-
-    for no, line in lines:
-        raise FormatError(path, no, f"unexpected trailing content: {line!r}")
+    if len(lines) < end + nf:
+        _faces(path, numbers[end:], lines[end:], nv)  # raises at a bad face line, if any
+        raise FormatError(path, numbers[-1] + 1,
+                          f"expected {nf} face lines, got {len(lines) - end}")
+    triangles = _faces(path, numbers[end:end + nf], lines[end:end + nf], nv)
+    if len(lines) > end + nf:
+        raise FormatError(path, numbers[end + nf],
+                          f"unexpected trailing content: {lines[end + nf]!r}")
     return TriangleMesh(vertices, triangles)
 
 
-def _load_ply(path: Path, text: str) -> TriangleMesh:
-    raw_lines = text.splitlines()
+def _load_ply(path: Path) -> TriangleMesh:
+    raw_lines = path.read_text(encoding="utf-8").splitlines()
     if not raw_lines or raw_lines[0].strip() != "ply":
         raise FormatError(path, 1, "expected 'ply' magic line")
 
@@ -163,14 +258,20 @@ def _load_ply(path: Path, text: str) -> TriangleMesh:
         elif tokens[0] == "element":
             if len(tokens) != 3:
                 raise FormatError(path, lineno, f"malformed element line: {line!r}")
-            if tokens[1] == "vertex":
-                nv = int(tokens[2])
-                current = "vertex"
-            elif tokens[1] == "face":
-                nf = int(tokens[2])
-                current = "face"
-            else:
+            if tokens[1] not in ("vertex", "face"):
                 raise FormatError(path, lineno, f"unsupported element {tokens[1]!r}")
+            try:
+                count = int(tokens[2])
+            except ValueError:
+                count = -1
+            if count < 0:
+                raise FormatError(path, lineno,
+                                  f"element count must be a non-negative integer: {line!r}")
+            current = tokens[1]
+            if current == "vertex":
+                nv = count
+            else:
+                nf = count
         elif tokens[0] == "property":
             if current == "vertex":
                 if tokens[1] == "list":
@@ -195,34 +296,33 @@ def _load_ply(path: Path, text: str) -> TriangleMesh:
     except ValueError:
         raise FormatError(path, body_start, "vertex element must declare x, y, z properties") from None
 
-    # -- body -----------------------------------------------------------
-    body = [(i + 1, raw_lines[i].strip()) for i in range(body_start, len(raw_lines))
-            if raw_lines[i].strip()]
-    if len(body) < nv + nf:
+    # -- body: every non-blank line after the header ---------------------
+    stripped = list(map(str.strip, raw_lines[body_start:]))
+    numbers = [no for no, line in enumerate(stripped, start=body_start + 1) if line]
+    lines = [line for line in stripped if line]
+    if len(lines) < nv + nf:
         raise FormatError(path, len(raw_lines) + 1,
-                          f"expected {nv} vertex and {nf} face lines, got {len(body)}")
-    if len(body) > nv + nf:
-        no, line = body[nv + nf]
-        raise FormatError(path, no, f"unexpected trailing content: {line!r}")
+                          f"expected {nv} vertex and {nf} face lines, got {len(lines)}")
+    if len(lines) > nv + nf:
+        raise FormatError(path, numbers[nv + nf],
+                          f"unexpected trailing content: {lines[nv + nf]!r}")
 
-    vertices = np.empty((nv, 3), dtype=np.float64)
-    for row in range(nv):
-        no, line = body[row]
-        parts = line.split()
-        if len(parts) != len(vertex_props):
-            raise FormatError(path, no,
-                              f"expected {len(vertex_props)} vertex properties, got {len(parts)}")
-        try:
-            vertices[row] = [float(parts[c]) for c in coord_cols]
-        except ValueError:
-            raise FormatError(path, no, f"bad vertex coordinates: {line!r}") from None
-    _reject_non_finite(path, vertices, body)
-
-    triangles = np.empty((nf, 3), dtype=np.int64)
-    for row in range(nf):
-        no, line = body[nv + row]
-        triangles[row] = _parse_face_tokens(path, no, line.split(), nv)
-    return TriangleMesh(vertices, triangles)
+    rows = _parse_rows(lines[:nv], len(vertex_props), float)
+    if rows is not None:
+        vertices = rows[:, coord_cols]
+    else:
+        vertices = np.empty((nv, 3), dtype=np.float64)
+        for row, (no, line) in enumerate(zip(numbers[:nv], lines[:nv])):
+            parts = line.split()
+            if len(parts) != len(vertex_props):
+                raise FormatError(path, no,
+                                  f"expected {len(vertex_props)} vertex properties, got {len(parts)}")
+            try:
+                vertices[row] = [float(parts[c]) for c in coord_cols]
+            except ValueError:
+                raise FormatError(path, no, f"bad vertex coordinates: {line!r}") from None
+        _reject_non_finite(path, vertices, numbers, lines)
+    return TriangleMesh(vertices, _faces(path, numbers[nv:], lines[nv:], nv))
 
 
 def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
@@ -235,8 +335,7 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
         fmt = path.suffix.lstrip(".").lower()
     if fmt not in ("off", "ply"):
         raise ValueError(f"unknown mesh format {fmt!r} (expected 'off' or 'ply')")
-    text = path.read_text(encoding="utf-8")
-    return _load_off(path, text) if fmt == "off" else _load_ply(path, text)
+    return _load_off(path) if fmt == "off" else _load_ply(path)
 
 
 def write_mesh(path, mesh: TriangleMesh, fmt: str | None = None,
@@ -303,21 +402,29 @@ def _write_ply(path: Path, mesh: TriangleMesh, colors: np.ndarray | None) -> Non
                 _format_rows(_FACE_FORMAT, mesh.triangles))
 
 
+def _parse_label(path, no: int, raw: str) -> int:
+    try:
+        value = int(raw.strip())
+    except ValueError:
+        raise FormatError(path, no, f"expected an integer label, got {raw.strip()!r}") from None
+    if value < 0:
+        raise FormatError(path, no, f"labels must be non-negative, got {value}")
+    if value > _INT64_LIMITS[1]:
+        raise FormatError(path, no, f"label {value} does not fit in int64")
+    return value
+
+
 def load_labels(path, expected_count: int | None = None) -> np.ndarray:
     """Load per-vertex integer labels, one per line; optionally check the count."""
     path = Path(path)
-    labels = []
-    for no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        try:
-            value = int(raw.strip())
-        except ValueError:
-            raise FormatError(path, no, f"expected an integer label, got {raw.strip()!r}") from None
-        if value < 0:
-            raise FormatError(path, no, f"labels must be non-negative, got {value}")
-        labels.append(value)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    labels = _parse_rows(lines, 1, int)
+    if labels is None or np.any(labels < 0):
+        labels = np.array([_parse_label(path, no, raw) for no, raw in enumerate(lines, start=1)],
+                          dtype=np.int64)
     if expected_count is not None and len(labels) != expected_count:
         raise ValueError(f"{path}: {len(labels)} labels but expected {expected_count} vertices")
-    return np.asarray(labels, dtype=np.int64)
+    return labels.reshape(-1)
 
 
 def write_labels(path, labels) -> None:
