@@ -17,9 +17,8 @@ from .oracles import oracle_apsp, oracle_medoid, oracle_sssp
 from .parcellator import (AtlasPlan, Parcellation, ParcellationResult,
                           parcellate_atlas_mode, parcellate_whole_mode)
 from .surface_graph import (APSP_VERTEX_CAP, DistanceField, SurfaceGraph, UNREACHABLE,
-                            apsp, build_graph, dump_distance_field,
-                            extract_region_subgraph, induced_subgraph,
-                            multi_source_sssp, sssp)
+                            apsp, build_graph, extract_region_subgraph,
+                            induced_subgraph, multi_source_sssp, sssp)
 from .synthetic import (MeshSpec, atlas_mesh, bridge_graph, dumbbell_mesh,
                         grid_mesh, icosphere_mesh, make_fibers, make_mesh,
                         perturb_weights, two_hemispheres_mesh, wave_sheet_mesh)

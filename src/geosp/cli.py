@@ -83,6 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _kmeans_config(args) -> KmeansConfig:
+    """The k-means settings of the `_add_kmeans_flags` flags; each task sets its own k."""
+    return KmeansConfig(k=1, max_iterations=args.max_iterations,
+                        convergence_tolerance_mm=args.tolerance, rng_seed=args.seed)
+
+
 def _write_parcellation_outputs(out_dir: Path, mesh, result) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     mesh_io.write_parcellation(out_dir / "parcellation", result.parcellation, mesh)
@@ -97,9 +103,7 @@ def _cmd_parcellate_atlas(args) -> int:
     mesh = mesh_io.load_mesh(args.mesh)
     labels = mesh_io.load_labels(args.labels, expected_count=mesh.vertex_count)
     plan = AtlasPlan.from_file(args.plan) if args.plan else AtlasPlan.uniform(labels, args.k)
-    config = KmeansConfig(k=1, max_iterations=args.max_iterations,
-                          convergence_tolerance_mm=args.tolerance, rng_seed=args.seed)
-    result = parcellate_atlas_mode(mesh, labels, plan, config, workers=args.workers)
+    result = parcellate_atlas_mode(mesh, labels, plan, _kmeans_config(args), workers=args.workers)
     _write_parcellation_outputs(Path(args.out), mesh, result)
     return 0
 
@@ -117,9 +121,7 @@ def _cmd_parcellate_whole(args) -> int:
         mesh, hemis = mesh_io.concat_meshes(left, right)
     else:
         raise ValueError("--mesh takes one or two paths")
-    config = KmeansConfig(k=1, max_iterations=args.max_iterations,
-                          convergence_tolerance_mm=args.tolerance, rng_seed=args.seed)
-    result = parcellate_whole_mode(mesh, hemis, args.k, config, workers=args.workers)
+    result = parcellate_whole_mode(mesh, hemis, args.k, _kmeans_config(args), workers=args.workers)
     _write_parcellation_outputs(Path(args.out), mesh, result)
     return 0
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .mesh_io import (_FLOAT_CHARS, _INT64_LIMITS, READ_BLOCK_LINES, FormatError, TriangleMesh,
-                      _block_bytes, _format_rows, _parse_numbers, _parse_rows,
+                      _block_bytes, _first, _format_rows, _parse_numbers, _read_rows,
                       _significant_lines, _token_starts, _write_text)
 
 # Blocks keep the temporaries near 1 MB: endpoints whose grid cells are
@@ -197,7 +197,13 @@ class Fibers(Sequence):
     are the point endpoints in endpoint order. Indexing and iteration give
     the (a, b) pairs a list of fibers holds: an int per vertex endpoint and a
     float64 (3,) array per point endpoint.
+
+    `load_fibers` also sets `path` and `line_numbers`, the 1-based file line
+    of each fiber, so that errors found later name the line.
     """
+
+    path = None
+    line_numbers = None
 
     def __init__(self, is_point, vertex, points):
         self.is_point = np.asarray(is_point, dtype=bool).reshape(-1)
@@ -277,10 +283,12 @@ def _fibers_from_pairs(fibers, vertex_count: int) -> Fibers:
 
 def _endpoint_vertices(fibers: Fibers, mesh: TriangleMesh) -> np.ndarray:
     """(2F,) int64 vertex of every endpoint, in fiber order: a, b of fiber 0, then fiber 1, ..."""
-    ids = fibers.vertex[~fibers.is_point]
-    outside = (ids < 0) | (ids >= mesh.vertex_count)
-    if outside.any():
-        raise ValueError(f"fiber endpoint vertex {ids[outside][0]} out of range")
+    e = _first(~fibers.is_point & ((fibers.vertex < 0) | (fibers.vertex >= mesh.vertex_count)))
+    if e is not None:
+        message = f"fiber endpoint vertex {fibers.vertex[e]} out of range"
+        if fibers.path is None:
+            raise ValueError(message)
+        raise FormatError(fibers.path, fibers.line_numbers[e // 2], message)
     vertex = fibers.vertex.copy()
     if len(fibers.points):
         vertex[fibers.is_point] = map_endpoint_to_vertex(fibers.points, mesh)
@@ -387,7 +395,7 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a `save_matrix` file; the rows are parsed in bulk when they are plain integers."""
+    """Read a `save_matrix` file."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -400,21 +408,7 @@ def load_matrix(path) -> np.ndarray:
         raise FormatError(path, 1, f"matrix size must be non-negative, got {p}")
     if len(lines) < p + 1:
         raise FormatError(path, len(lines) + 1, f"expected {p} matrix rows, got {len(lines) - 1}")
-    m = _parse_rows(lines[1:p + 1], p, int)
-    if m is not None:
-        return m
-    m = np.zeros((p, p), dtype=np.int64)
-    for r in range(p):
-        parts = lines[r + 1].split()
-        if len(parts) != p:
-            raise FormatError(path, r + 2, f"expected {p} entries, got {len(parts)}")
-        try:
-            m[r] = [int(x) for x in parts]
-        except ValueError:
-            raise FormatError(path, r + 2, "matrix entries must be integers") from None
-        except OverflowError:
-            raise FormatError(path, r + 2, "matrix entry does not fit in int64") from None
-    return m
+    return _read_rows(path, range(2, p + 2), lines[1:p + 1], p, int, f"{p} integer entries")
 
 
 def write_fibers(path, fibers) -> None:
@@ -454,7 +448,7 @@ def _parse_endpoint(path, no: int, token: str):
 def _fiber_arrays(lines) -> tuple | None:
     """(is_point, vertex, points) of plain 'v:i' / 'p:x,y,z' lines, parsed in
     two np.fromstring passes (vertex ids, point coordinates); None when the
-    caller must parse line by line (see mesh_io's bulk parsing)."""
+    caller must parse line by line (see the bulk pass in mesh_io)."""
     block = _block_bytes(lines, _FLOAT_CHARS + b"vp:,")
     starts = None if block is None else _token_starts(block, 2)
     if starts is None:
@@ -511,15 +505,17 @@ def load_fibers(path) -> Fibers:
     path = Path(path)
     line_numbers, lines = _significant_lines(path.read_text(encoding="utf-8"))
     fibers = _fibers_in_bulk(lines)
-    if fibers is not None:
-        return fibers
-    pairs = []
-    for no, line in zip(line_numbers, lines):
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise FormatError(path, no, f"expected two endpoints per line, got {len(tokens)}")
-        pairs.append((_parse_endpoint(path, no, tokens[0]), _parse_endpoint(path, no, tokens[1])))
-    ends = list(chain.from_iterable(pairs))
-    is_point = [isinstance(e, np.ndarray) for e in ends]
-    return Fibers(is_point, [0 if p else e for p, e in zip(is_point, ends)],
-                  [e for p, e in zip(is_point, ends) if p])
+    if fibers is None:
+        pairs = []
+        for no, line in zip(line_numbers, lines):
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise FormatError(path, no, f"expected two endpoints per line, got {len(tokens)}")
+            pairs.append((_parse_endpoint(path, no, tokens[0]),
+                          _parse_endpoint(path, no, tokens[1])))
+        ends = list(chain.from_iterable(pairs))
+        is_point = [isinstance(e, np.ndarray) for e in ends]
+        fibers = Fibers(is_point, [0 if p else e for p, e in zip(is_point, ends)],
+                        [e for p, e in zip(is_point, ends) if p])
+    fibers.path, fibers.line_numbers = path, line_numbers
+    return fibers

@@ -7,6 +7,7 @@ integer per line with LF terminators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,18 +67,20 @@ def _significant_lines(text: str) -> tuple[list[int] | range, list[str]]:
     return numbers, [lines[no - 1] for no in numbers]
 
 
-# -- bulk number parsing ----------------------------------------------------------
+# -- reading numeric rows -----------------------------------------------------------
 #
-# A block of lines is parsed in one C-level `np.fromstring` pass when that
-# gives exactly what the per-line parser would: the block is ASCII digits,
-# signs, separators and (for floats) '.', 'e', 'E'; every line holds the
-# expected number of tokens; every integer sign is followed by a digit (strtoll
-# reads a lone sign as 0); no integer saturated at the int64 limits; and every
-# float is finite. On those tokens np.fromstring and int()/float() agree bit for
-# bit (float parsing is Python's own correctly rounded one). Otherwise the
-# caller parses the block line by line, which raises the file:line error of the
-# first bad line or, for tokens only int()/float() accept (`1_000`), returns the
-# same arrays as before.
+# `_read_rows` reads every numeric block in two steps: the numbers, by the bulk
+# pass when the block is plain and else by one per-line loop; then the format's
+# rules, once, vectorised, on the rows read. The bulk pass (one C-level
+# `np.fromstring`) takes a block only where it gives exactly what int()/float()
+# would: ASCII digits, signs, separators and (for floats) '.', 'e', 'E'; the
+# expected token count on every line; every integer sign followed by a digit
+# (strtoll reads a lone sign as 0); no integer saturated at the int64 limits;
+# every float finite (its float parsing is Python's own correctly rounded one).
+# The per-line loop also reads what only int()/float() take (`1_000`, `nan`) and
+# stops at the first line with the wrong token count or an unreadable token; the
+# rules run on the rows before it, so the error names the first bad line, whether
+# a rule or a token made it bad.
 
 _INT_CHARS = b"0123456789+-"
 _FLOAT_CHARS = _INT_CHARS + b".eE"
@@ -150,40 +153,72 @@ def _parse_rows(lines, width: int, dtype) -> np.ndarray | None:
     return rows
 
 
-def _parse_face_tokens(path, no, tokens, vertex_count):
-    if len(tokens) != 4 or tokens[0] != "3":
-        raise FormatError(path, no, f"expected triangle face '3 i j k', got {' '.join(tokens)!r}")
-    try:
-        i, j, k = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise FormatError(path, no, "face indices must be integers") from None
-    for idx in (i, j, k):
-        if not 0 <= idx < vertex_count:
-            raise FormatError(path, no, f"vertex index {idx} out of range [0, {vertex_count})")
-    if i == j or j == k or i == k:
-        raise FormatError(path, no, "face repeats a vertex index")
-    return i, j, k
+def _read_rows(path, numbers, lines, width, dtype, expected, check=None, cols=None):
+    """int64 (dtype int) or float64 (dtype float) rows of the `width` numbers
+    on each of `lines`, which are lines `numbers` of the file; `cols` picks
+    the columns to keep before any is parsed. `check(rows, lines)` returns
+    (row, message) for the first row that breaks the format's rules, or None.
+
+    Raises FormatError at the first bad line: a rule's message, or "expected
+    <expected>, got '<line>'" for a line that cannot be read (see above).
+    """
+    rows = _parse_rows(lines, width, dtype)
+    stop = len(lines)
+    if rows is None:
+        picked = range(width) if cols is None else cols
+        rows = np.empty((len(lines), len(picked)), dtype=np.int64 if dtype is int else np.float64)
+        for row, line in enumerate(lines):
+            parts = line.split()
+            try:
+                if len(parts) != width:
+                    raise ValueError
+                rows[row] = [dtype(parts[c]) for c in picked]
+            except (ValueError, OverflowError):  # OverflowError: an int beyond int64
+                stop = row
+                break
+    elif cols is not None:
+        rows = rows[:, cols]
+    found = check(rows[:stop], lines) if check is not None else None
+    if found is not None:
+        raise FormatError(path, numbers[found[0]], found[1])
+    if stop < len(lines):
+        raise FormatError(path, numbers[stop], f"expected {expected}, got {lines[stop].strip()!r}")
+    return rows
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first True in `bad`, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if len(hits) else None
+
+
+def _finite(rows, lines):
+    """Rule of vertex rows: every coordinate is finite."""
+    row = _first(~np.isfinite(rows).all(axis=1))
+    return None if row is None else (row, f"non-finite vertex coordinates: {lines[row]!r}")
+
+
+def _face_rules(vertex_count, rows, lines):
+    """Rules of face rows '3 i j k': the leading 3, indices in range, no repeated index."""
+    t = rows[:, 1:]
+    not_three = rows[:, 0] != 3
+    outside = (t < 0) | (t >= vertex_count)
+    repeats = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
+    row = _first(not_three | outside.any(axis=1) | repeats)
+    if row is None:
+        return None
+    if not_three[row]:
+        return row, f"expected triangle face '3 i j k', got {' '.join(lines[row].split())!r}"
+    if outside[row].any():
+        return row, f"vertex index {t[row][outside[row]][0]} out of range [0, {vertex_count})"
+    return row, "face repeats a vertex index"
 
 
 def _faces(path, numbers, lines, vertex_count) -> np.ndarray:
-    """(m, 3) triangles of the face lines '3 i j k'; bulk, else line by line."""
-    rows = _parse_rows(lines, 4, int)
-    if rows is not None:
-        t = rows[:, 1:]
-        bad = ((rows[:, 0] != 3) | np.any((t < 0) | (t >= vertex_count), axis=1)
-               | (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2]))
-        if not bad.any():
-            return t.copy()
-    return np.array([_parse_face_tokens(path, no, line.split(), vertex_count)
-                     for no, line in zip(numbers, lines)], dtype=np.int64).reshape(-1, 3)
-
-
-def _reject_non_finite(path, vertices: np.ndarray, numbers, lines) -> None:
-    """Raise FormatError at the first vertex with a nan or inf coordinate."""
-    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
-    if len(bad):
-        row = int(bad[0])
-        raise FormatError(path, numbers[row], f"non-finite vertex coordinates: {lines[row]!r}")
+    """(m, 3) triangles of the face lines '3 i j k'."""
+    rows = _read_rows(path, numbers, lines, 4, int, "triangle face '3 i j k'",
+                      partial(_face_rules, vertex_count))
+    return rows[:, 1:].copy()
 
 
 def _load_off(path: Path) -> TriangleMesh:
@@ -205,23 +240,12 @@ def _load_off(path: Path) -> TriangleMesh:
         raise FormatError(path, numbers[1], f"negative vertex or face count: {lines[1]!r}")
 
     # Slices stop at the lines present, so counts larger than the file
-    # allocate nothing before the line-by-line pass reports the shortfall.
+    # allocate nothing before the shortfall is reported.
     end = 2 + nv
-    vertices = _parse_rows(lines[2:end], 3, float) if len(lines) >= end else None
-    if vertices is None:
-        rows = []
-        for no, line in zip(numbers[2:end], lines[2:end]):
-            parts = line.split()
-            try:
-                if len(parts) != 3:
-                    raise ValueError
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise FormatError(path, no, f"expected 'x y z' coordinates, got {line!r}") from None
-        if len(rows) < nv:
-            raise FormatError(path, numbers[-1] + 1, f"expected {nv} vertex lines, got {len(rows)}")
-        vertices = np.array(rows, dtype=np.float64)
-        _reject_non_finite(path, vertices, numbers[2:end], lines[2:end])
+    vertices = _read_rows(path, numbers[2:end], lines[2:end], 3, float, "'x y z' coordinates",
+                          _finite)
+    if len(vertices) < nv:
+        raise FormatError(path, numbers[-1] + 1, f"expected {nv} vertex lines, got {len(vertices)}")
 
     if len(lines) < end + nf:
         _faces(path, numbers[end:], lines[end:], nv)  # raises at a bad face line, if any
@@ -307,21 +331,8 @@ def _load_ply(path: Path) -> TriangleMesh:
         raise FormatError(path, numbers[nv + nf],
                           f"unexpected trailing content: {lines[nv + nf]!r}")
 
-    rows = _parse_rows(lines[:nv], len(vertex_props), float)
-    if rows is not None:
-        vertices = rows[:, coord_cols]
-    else:
-        vertices = np.empty((nv, 3), dtype=np.float64)
-        for row, (no, line) in enumerate(zip(numbers[:nv], lines[:nv])):
-            parts = line.split()
-            if len(parts) != len(vertex_props):
-                raise FormatError(path, no,
-                                  f"expected {len(vertex_props)} vertex properties, got {len(parts)}")
-            try:
-                vertices[row] = [float(parts[c]) for c in coord_cols]
-            except ValueError:
-                raise FormatError(path, no, f"bad vertex coordinates: {line!r}") from None
-        _reject_non_finite(path, vertices, numbers, lines)
+    vertices = _read_rows(path, numbers[:nv], lines[:nv], len(vertex_props), float,
+                          f"{len(vertex_props)} numeric vertex properties", _finite, coord_cols)
     return TriangleMesh(vertices, _faces(path, numbers[nv:], lines[nv:], nv))
 
 
@@ -402,26 +413,18 @@ def _write_ply(path: Path, mesh: TriangleMesh, colors: np.ndarray | None) -> Non
                 _format_rows(_FACE_FORMAT, mesh.triangles))
 
 
-def _parse_label(path, no: int, raw: str) -> int:
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise FormatError(path, no, f"expected an integer label, got {raw.strip()!r}") from None
-    if value < 0:
-        raise FormatError(path, no, f"labels must be non-negative, got {value}")
-    if value > _INT64_LIMITS[1]:
-        raise FormatError(path, no, f"label {value} does not fit in int64")
-    return value
+def _non_negative(rows, lines):
+    """Rule of label rows: no label is negative."""
+    row = _first(rows[:, 0] < 0)
+    return None if row is None else (row, f"labels must be non-negative, got {rows[row, 0]}")
 
 
 def load_labels(path, expected_count: int | None = None) -> np.ndarray:
     """Load per-vertex integer labels, one per line; optionally check the count."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    labels = _parse_rows(lines, 1, int)
-    if labels is None or np.any(labels < 0):
-        labels = np.array([_parse_label(path, no, raw) for no, raw in enumerate(lines, start=1)],
-                          dtype=np.int64)
+    labels = _read_rows(path, range(1, len(lines) + 1), lines, 1, int, "an integer label",
+                        _non_negative)
     if expected_count is not None and len(labels) != expected_count:
         raise ValueError(f"{path}: {len(labels)} labels but expected {expected_count} vertices")
     return labels.reshape(-1)

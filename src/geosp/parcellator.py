@@ -2,7 +2,7 @@
 
 Atlas mode runs one k-means per labeled region, whole mode one per
 hemisphere; in both, `workers` bounds the threads that run tasks at once,
-and thread_map is the one place threads are started. Each task draws its RNG
+and _run_tasks is the one place threads are started. Each task draws its RNG
 seed from the base seed XOR a hash of its region id, so results never depend
 on worker count, scheduling, or which other regions are in the plan.
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .kmeans import KmeansConfig, parallel_kmeans
-from .mesh_io import TriangleMesh
+from .mesh_io import TriangleMesh, _first, _read_rows, _significant_lines
 from .surface_graph import build_graph, extract_region_subgraph
 from .util import derive_seed
 
@@ -57,24 +57,21 @@ class AtlasPlan:
 
     @classmethod
     def from_file(cls, path) -> "AtlasPlan":
-        plan: dict[int, int] = {}
-        for no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if len(parts) != 2:
-                    raise ValueError
-                region, k = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{no}: expected 'region_id k', got {line!r}") from None
-            if region in plan:
-                raise ValueError(f"{path}:{no}: duplicate region {region}")
-            plan[region] = k
-        if not plan:
+        """Read 'region_id k' lines; blank lines and # comments are skipped."""
+        numbers, lines = _significant_lines(Path(path).read_text(encoding="utf-8"))
+        if not lines:
             raise ValueError(f"{path}: empty plan")
-        return cls(plan)
+        rows = _read_rows(path, numbers, lines, 2, int, "'region_id k'", _distinct_regions)
+        return cls(dict(rows.tolist()))
+
+
+def _distinct_regions(rows, lines):
+    """Rule of plan rows: each region is named once."""
+    _, first = np.unique(rows[:, 0], return_index=True)
+    repeated = np.ones(len(rows), dtype=bool)
+    repeated[first] = False
+    row = _first(repeated)
+    return None if row is None else (row, f"duplicate region {rows[row, 0]}")
 
 
 @dataclass
@@ -118,25 +115,12 @@ class ParcellationResult:
         }
 
 
-def thread_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], with at most `workers` calls running at once.
-
-    Results come back in item order, so the output never depends on workers.
-    """
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _run_tasks(graph, labels, tasks, config, workers):
-    """Run (region, k) clustering tasks on at most `workers` threads; returns
-    per-task (groups, RegionRun).
+    """Run (region, k) clustering tasks; returns per-task (groups, RegionRun).
 
     Up to `workers` tasks run at once, each on one thread: a task's k-means,
     medoid updates included, runs on the thread that started it. Tasks are
-    pure and merged in task order, so any pool size gives the same result.
+    pure and come back in task order, so any pool size gives the same result.
     """
     def one(task):
         region, k = task
@@ -151,7 +135,10 @@ def _run_tasks(graph, labels, tasks, config, workers):
                                  converged_by_tolerance=res.converged_by_tolerance,
                                  euclidean_fallbacks=res.euclidean_fallbacks, seconds=dt)
 
-    return thread_map(one, tasks, workers)
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            return list(pool.map(one, tasks))
+    return [one(task) for task in tasks]
 
 
 def _assemble(vertex_count: int, outputs) -> Parcellation:
@@ -169,6 +156,27 @@ def _assemble(vertex_count: int, outputs) -> Parcellation:
     return Parcellation(sub, provenance)
 
 
+def _vertex_labels(mesh: TriangleMesh, labels, what: str, workers: int):
+    """Checked int64 per-vertex labels, their distinct values and the vertex count of each."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(labels) != mesh.vertex_count:
+        raise ValueError(f"{len(labels)} {what} for {mesh.vertex_count} vertices")
+    present, sizes = np.unique(labels, return_counts=True)
+    return labels, present.tolist(), sizes.tolist()
+
+
+def _parcellate(mesh: TriangleMesh, labels, tasks, config, workers) -> ParcellationResult:
+    """The body both modes share: build the graph, run the tasks, number the parcels."""
+    graph = build_graph(mesh)
+    t0 = time.perf_counter()
+    results = _run_tasks(graph, labels, tasks, config or KmeansConfig(k=1), workers)
+    total = time.perf_counter() - t0
+    parcellation = _assemble(mesh.vertex_count, list(zip(tasks, results)))
+    return ParcellationResult(parcellation, [r for _g, r in results], total)
+
+
 def parcellate_atlas_mode(mesh: TriangleMesh, labels, plan: AtlasPlan,
                           config: KmeansConfig | None = None,
                           workers: int = 1) -> ParcellationResult:
@@ -178,32 +186,19 @@ def parcellate_atlas_mode(mesh: TriangleMesh, labels, plan: AtlasPlan,
     region must have at least k vertices (no silent clamping). Total
     sub-parcel count is the sum of the plan's k values.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != mesh.vertex_count:
-        raise ValueError(f"{len(labels)} labels for {mesh.vertex_count} vertices")
-    config = config or KmeansConfig(k=1)
-    present = [int(r) for r in np.unique(labels)]
+    labels, present, sizes = _vertex_labels(mesh, labels, "labels", workers)
     missing = sorted(set(present) - set(plan.k_by_region))
     if missing:
         raise ValueError(f"plan does not cover regions {missing}")
     unknown = sorted(set(plan.k_by_region) - set(present))
     if unknown:
         raise ValueError(f"plan names absent regions {unknown}")
-    graph = build_graph(mesh)
-    for region in present:
-        size = int((labels == region).sum())
+    for region, size in zip(present, sizes):
         if plan.k_by_region[region] > size:
             raise ValueError(
                 f"region {region} has {size} vertices, fewer than k={plan.k_by_region[region]}")
-
     tasks = [(region, plan.k_by_region[region]) for region in present]
-    t0 = time.perf_counter()
-    results = _run_tasks(graph, labels, tasks, config, workers)
-    total = time.perf_counter() - t0
-    parcellation = _assemble(mesh.vertex_count, list(zip(tasks, results)))
-    return ParcellationResult(parcellation, [r for _g, r in results], total)
+    return _parcellate(mesh, labels, tasks, config, workers)
 
 
 def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
@@ -216,24 +211,10 @@ def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
     stay idle, since a hemisphere's k-means (medoid updates included) runs on
     one thread. Total sub-parcels = k * number of hemispheres.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    hemis = np.asarray(hemisphere_labels, dtype=np.int64)
-    if len(hemis) != mesh.vertex_count:
-        raise ValueError(f"{len(hemis)} hemisphere labels for {mesh.vertex_count} vertices")
-    config = config or KmeansConfig(k=1)
-    present = [int(h) for h in np.unique(hemis)]
+    hemis, present, sizes = _vertex_labels(mesh, hemisphere_labels, "hemisphere labels", workers)
     if len(present) > 2:
         raise ValueError(f"expected one or two hemisphere labels, got {present}")
-    for h in present:
-        size = int((hemis == h).sum())
+    for h, size in zip(present, sizes):
         if k > size:
             raise ValueError(f"hemisphere {h} has {size} vertices, fewer than k={k}")
-    graph = build_graph(mesh)
-
-    tasks = [(h, k) for h in present]
-    t0 = time.perf_counter()
-    results = _run_tasks(graph, hemis, tasks, config, workers)
-    total = time.perf_counter() - t0
-    parcellation = _assemble(mesh.vertex_count, list(zip(tasks, results)))
-    return ParcellationResult(parcellation, [r for _g, r in results], total)
+    return _parcellate(mesh, hemis, [(h, k) for h in present], config, workers)

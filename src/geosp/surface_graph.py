@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from pathlib import Path
 
 import numpy as np
 
@@ -278,9 +277,3 @@ def apsp(graph: SurfaceGraph, max_vertices: int = APSP_VERTEX_CAP) -> np.ndarray
         raise ValueError(f"graph has {n} vertices, above the APSP cap of {max_vertices}")
     adjacency = graph._adjacency()
     return np.array([_dijkstra(adjacency, [s])[0] for s in range(n)]).reshape(n, n)
-
-
-def dump_distance_field(field: DistanceField, path) -> None:
-    """Debug dump: one distance per line, unreachable written as 'inf'."""
-    lines = ("inf\n" if np.isinf(x) else f"{float(x)!r}\n" for x in field.dist)
-    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")

@@ -238,6 +238,15 @@ def test_endpoint_out_of_range():
         build_connectivity_matrix([(0, 9)], np.zeros(9, dtype=int), mesh)
 
 
+@pytest.mark.parametrize("vertex", ["-1", "9", "20000"])
+def test_file_vertex_outside_the_mesh_names_its_file_line(tmp_path, vertex):
+    p = tmp_path / "f.txt"
+    p.write_text(f"# two fibres\nv:0 p:0,0,0\n\nv:1 v:{vertex}\n")
+    with pytest.raises(FormatError, match=f"vertex {vertex} out of range") as err:
+        build_connectivity_matrix(load_fibers(p), np.zeros(9, dtype=int), grid_mesh(3, 3))
+    assert err.value.line_no == 4
+
+
 @pytest.mark.parametrize("endpoint", [-1, np.int8(-3), 2**70, np.uint64(2**64 - 1), 1e30, -9.0])
 def test_endpoint_out_of_range_before_any_cast(endpoint):
     mesh = grid_mesh(3, 3)

@@ -98,6 +98,39 @@ def test_ply_non_finite_coordinate_reports_line(tmp_path):
     assert "non-finite" in str(err.value)
 
 
+PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+              "property float x\nproperty float y\nproperty float z\n"
+              "element face 1\nproperty list uchar int vertex_indices\nend_header\n")
+
+
+@pytest.mark.parametrize("name,text,line,msg", [
+    ("m.off", "OFF\n3 1 0\nnan 0 0\n1 0 0\n0 0 x\n3 0 1 2\n", 3, "non-finite"),
+    ("m.ply", PLY_HEADER + "nan 0 0\n1 0 0\n0 0 x\n3 0 1 2\n", 10, "non-finite"),
+    ("l.txt", "0\n-1\nx\n", 2, "non-negative"),
+    ("m.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n3 0 1 x\n", 6, "out of range"),
+])
+def test_first_bad_line_is_reported_whether_a_rule_or_a_token_breaks(tmp_path, name, text,
+                                                                      line, msg):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(FormatError) as err:
+        (load_labels if name.endswith(".txt") else load_mesh)(p)
+    assert err.value.line_no == line
+    assert msg in str(err.value)
+
+
+def test_ply_reads_only_the_coordinate_columns(tmp_path):
+    """A token float() cannot read in another property does not stop the load."""
+    header = PLY_HEADER.replace("property float z\n", "property float z\nproperty float w\n")
+    body = "0 0 0 {}\n1 0 0 1\n0 1 0 2\n3 0 1 2\n"
+    plain, odd = tmp_path / "plain.ply", tmp_path / "odd.ply"
+    plain.write_text(header + body.format("0"))
+    odd.write_text(header + body.format("1e"))
+    want, got = load_mesh(plain), load_mesh(odd)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert np.array_equal(got.triangles, want.triangles)
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="format"):
         load_mesh(tmp_path / "m.stl")

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosp import (SurfaceGraph, TriangleMesh, build_graph,
-                   dump_distance_field, extract_region_subgraph, grid_mesh,
-                   induced_subgraph, multi_source_sssp, sssp, wave_sheet_mesh)
+from geosp import (SurfaceGraph, TriangleMesh, build_graph, extract_region_subgraph,
+                   grid_mesh, induced_subgraph, multi_source_sssp, sssp, wave_sheet_mesh)
 from geosp.oracles import oracle_apsp as apsp, oracle_sssp
 from geosp.surface_graph import MIN_EDGE_WEIGHT_MM, _induced_adjacency
 from geosp.surface_graph import apsp as dijkstra_apsp
@@ -306,12 +305,3 @@ def test_induced_subgraph_requires_sorted_unique():
     g = bumpy_grid_graph(8)
     with pytest.raises(ValueError, match="sorted"):
         induced_subgraph(g, [3, 1])
-
-
-def test_dump_distance_field(tmp_path):
-    pos = np.zeros((3, 3))
-    pos[:, 0] = np.arange(3)
-    g = SurfaceGraph(pos, [0], [1], [1.5])
-    out = tmp_path / "dist.txt"
-    dump_distance_field(sssp(g, 0), out)
-    assert out.read_text().splitlines() == ["0.0", "1.5", "inf"]
