@@ -13,7 +13,6 @@ distance field. A cluster of c vertices costs O(c^2) memory and typically
 about a dozen Dijkstras at a few hundred vertices, against O(c^3) for all
 pairs. All tie-breaking is by smallest index (centroid list position for
 assignment, vertex index for medoids), which makes runs bit-reproducible.
-Everything here runs on the calling thread.
 """
 from __future__ import annotations
 

@@ -80,7 +80,9 @@ def _significant_lines(text: str) -> tuple[list[int] | range, list[str]]:
 # The per-line loop also reads what only int()/float() take (`1_000`, `nan`) and
 # stops at the first line with the wrong token count or an unreadable token; the
 # rules run on the rows before it, so the error names the first bad line, whether
-# a rule or a token made it bad.
+# a rule or a token made it bad. Neither pass allocates rows before it has seen
+# text that can hold them: the bulk pass keeps each block's numbers until every
+# block is read, and `width` tokens take 2 * width - 1 characters or more.
 
 _INT_CHARS = b"0123456789+-"
 _FLOAT_CHARS = _INT_CHARS + b".eE"
@@ -140,7 +142,7 @@ def _parse_rows(lines, width: int, dtype) -> np.ndarray | None:
     """(len(lines), width) int64 (dtype int) or float64 (dtype float) array of
     the numbers on `lines`, parsed in bulk READ_BLOCK_LINES lines at a time;
     None when the caller must parse the lines one by one (see above)."""
-    rows = np.empty((len(lines), width), dtype=np.int64 if dtype is int else np.float64)
+    blocks = [np.empty((0, width), dtype=np.int64 if dtype is int else np.float64)]
     for start in range(0, len(lines), READ_BLOCK_LINES):
         block_lines = lines[start:start + READ_BLOCK_LINES]
         block = _block_bytes(block_lines, _INT_CHARS if dtype is int else _FLOAT_CHARS)
@@ -149,8 +151,8 @@ def _parse_rows(lines, width: int, dtype) -> np.ndarray | None:
         values = _parse_numbers(block, dtype, width * len(block_lines))
         if values is None:
             return None
-        rows[start:start + len(block_lines)] = values.reshape(-1, width)
-    return rows
+        blocks.append(values.reshape(-1, width))
+    return np.concatenate(blocks)
 
 
 def _read_rows(path, numbers, lines, width, dtype, expected, check=None, cols=None):
@@ -166,7 +168,8 @@ def _read_rows(path, numbers, lines, width, dtype, expected, check=None, cols=No
     stop = len(lines)
     if rows is None:
         picked = range(width) if cols is None else cols
-        rows = np.empty((len(lines), len(picked)), dtype=np.int64 if dtype is int else np.float64)
+        most = min(len(lines), sum(map(len, lines)) // (2 * width - 1))  # rows the text can hold
+        rows = np.empty((most, len(picked)), dtype=np.int64 if dtype is int else np.float64)
         for row, line in enumerate(lines):
             parts = line.split()
             try:

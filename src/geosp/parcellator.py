@@ -1,15 +1,15 @@
 """Atlas-mode and whole-mode orchestration producing a global Parcellation.
 
 Atlas mode runs one k-means per labeled region, whole mode one per
-hemisphere; in both, `workers` bounds the threads that run tasks at once,
-and _run_tasks is the one place threads are started. Each task draws its RNG
-seed from the base seed XOR a hash of its region id, so results never depend
-on worker count, scheduling, or which other regions are in the plan.
+hemisphere. _run_tasks runs the tasks one at a time on the calling thread;
+`workers` is validated and accepted but does not change how they run. Each
+task draws its RNG seed from the base seed XOR a hash of its region id, so
+results never depend on worker count, task order, or which other regions
+are in the plan.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -115,12 +115,12 @@ class ParcellationResult:
         }
 
 
-def _run_tasks(graph, labels, tasks, config, workers):
+def _run_tasks(graph, labels, tasks, config):
     """Run (region, k) clustering tasks; returns per-task (groups, RegionRun).
 
-    Up to `workers` tasks run at once, each on one thread: a task's k-means,
-    medoid updates included, runs on the thread that started it. Tasks are
-    pure and come back in task order, so any pool size gives the same result.
+    Tasks run in task order on the calling thread. Each is a pure function of
+    (graph, labels, task, config), so a pool could map them without changing
+    any result.
     """
     def one(task):
         region, k = task
@@ -135,9 +135,6 @@ def _run_tasks(graph, labels, tasks, config, workers):
                                  converged_by_tolerance=res.converged_by_tolerance,
                                  euclidean_fallbacks=res.euclidean_fallbacks, seconds=dt)
 
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            return list(pool.map(one, tasks))
     return [one(task) for task in tasks]
 
 
@@ -167,11 +164,11 @@ def _vertex_labels(mesh: TriangleMesh, labels, what: str, workers: int):
     return labels, present.tolist(), sizes.tolist()
 
 
-def _parcellate(mesh: TriangleMesh, labels, tasks, config, workers) -> ParcellationResult:
+def _parcellate(mesh: TriangleMesh, labels, tasks, config) -> ParcellationResult:
     """The body both modes share: build the graph, run the tasks, number the parcels."""
     graph = build_graph(mesh)
     t0 = time.perf_counter()
-    results = _run_tasks(graph, labels, tasks, config or KmeansConfig(k=1), workers)
+    results = _run_tasks(graph, labels, tasks, config or KmeansConfig(k=1))
     total = time.perf_counter() - t0
     parcellation = _assemble(mesh.vertex_count, list(zip(tasks, results)))
     return ParcellationResult(parcellation, [r for _g, r in results], total)
@@ -198,7 +195,7 @@ def parcellate_atlas_mode(mesh: TriangleMesh, labels, plan: AtlasPlan,
             raise ValueError(
                 f"region {region} has {size} vertices, fewer than k={plan.k_by_region[region]}")
     tasks = [(region, plan.k_by_region[region]) for region in present]
-    return _parcellate(mesh, labels, tasks, config, workers)
+    return _parcellate(mesh, labels, tasks, config)
 
 
 def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
@@ -206,10 +203,9 @@ def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
                           workers: int = 1) -> ParcellationResult:
     """Subdivide each hemisphere graph into k sub-parcels, ignoring any atlas.
 
-    hemisphere_labels must carry one or two distinct labels. With workers > 1
-    the two hemispheres run at once, one thread each; workers beyond that
-    stay idle, since a hemisphere's k-means (medoid updates included) runs on
-    one thread. Total sub-parcels = k * number of hemispheres.
+    hemisphere_labels must carry one or two distinct labels; the hemispheres
+    run one after the other on the calling thread, whatever `workers` is.
+    Total sub-parcels = k * number of hemispheres.
     """
     hemis, present, sizes = _vertex_labels(mesh, hemisphere_labels, "hemisphere labels", workers)
     if len(present) > 2:
@@ -217,4 +213,4 @@ def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
     for h, size in zip(present, sizes):
         if k > size:
             raise ValueError(f"hemisphere {h} has {size} vertices, fewer than k={k}")
-    return _parcellate(mesh, hemis, [(h, k) for h in present], config, workers)
+    return _parcellate(mesh, hemis, [(h, k) for h in present], config)

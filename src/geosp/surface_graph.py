@@ -26,8 +26,8 @@ class SurfaceGraph:
     """Undirected weighted graph over mesh vertices; immutable after construction.
 
     Stores a symmetric CSR adjacency plus the vertex positions (mm). All
-    shortest-path operations are read-only, so one graph can be shared by
-    concurrent workers.
+    shortest-path operations are read-only, so one graph serves every region
+    or hemisphere task.
     """
 
     def __init__(self, positions, edge_u, edge_v, edge_weights):

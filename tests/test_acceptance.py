@@ -174,15 +174,23 @@ def test_criterion_9_runtime_trend():
         mesh, regions, hemis = atlas_mesh(nx=40, ny=42)
         config = KmeansConfig(k=1, rng_seed=1)
 
-        t0 = time.perf_counter()
-        atlas = parcellate_atlas_mode(mesh, regions, AtlasPlan.uniform(regions, 2),
-                                      config, workers=2)
-        atlas_time = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        whole = parcellate_whole_mode(mesh, hemis, 70, config, workers=2)
-        whole_time = time.perf_counter() - t0
+        runs = {
+            "atlas": lambda: parcellate_atlas_mode(mesh, regions, AtlasPlan.uniform(regions, 2),
+                                                   config, workers=2),
+            "whole": lambda: parcellate_whole_mode(mesh, hemis, 70, config, workers=2),
+        }
+        best = dict.fromkeys(runs, float("inf"))
+        counts = {}
+        # Best of 3 interleaved runs per mode: a single pair is a race that a
+        # pause on a shared host can decide.
+        for _ in range(3):
+            for mode, run in runs.items():
+                t0 = time.perf_counter()
+                counts[mode] = run().parcellation.parcel_count
+                best[mode] = min(best[mode], time.perf_counter() - t0)
+        atlas_time, whole_time = best["atlas"], best["whole"]
 
-        assert atlas.parcellation.parcel_count == whole.parcellation.parcel_count == 140
+        assert counts == {"atlas": 140, "whole": 140}
         print(f"  atlas {atlas_time:.2f}s vs whole {whole_time:.2f}s "
               f"at 140 parcels / {mesh.vertex_count} vertices")
         assert atlas_time < whole_time

@@ -376,6 +376,16 @@ def test_matrix_errors(tmp_path, text, line):
     assert err.value.line_no == line
 
 
+def test_rows_too_short_for_the_header_are_a_format_error(tmp_path):
+    """A header asking for 200000 entries per row over rows of one entry is
+    reported at its first row, not by allocating (200000, 200000) int64s."""
+    p = tmp_path / "short.txt"
+    p.write_text("200000\n" + "1\n" * 200000)
+    with pytest.raises(FormatError, match="expected 200000 integer entries, got '1'") as err:
+        load_matrix(p)
+    assert err.value.line_no == 2
+
+
 def test_fiber_roundtrip(tmp_path):
     mesh = grid_mesh(3, 3)
     fibers = [(0, 5), (mesh.vertices[1] + 0.001, mesh.vertices[7])]

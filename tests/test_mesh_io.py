@@ -131,6 +131,19 @@ def test_ply_reads_only_the_coordinate_columns(tmp_path):
     assert np.array_equal(got.triangles, want.triangles)
 
 
+def test_ply_rows_too_short_for_the_header_are_a_format_error(tmp_path):
+    """200000 declared vertex properties over rows of three: the first row is
+    reported, not a (200000, 200000) float64 allocation."""
+    p = tmp_path / "wide.ply"
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 200000\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 + "property float p\n" * 199997 + "element face 0\nend_header\n"
+                 + "0 0 0\n" * 200000)
+    with pytest.raises(FormatError, match="got '0 0 0'") as err:
+        load_mesh(p)
+    assert err.value.line_no == 200006
+
+
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="format"):
         load_mesh(tmp_path / "m.stl")

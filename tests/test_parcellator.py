@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geosp import (AtlasPlan, KmeansConfig, atlas_mesh, grid_mesh, icosphere_mesh,
                    parcellate_atlas_mode, parcellate_whole_mode, two_hemispheres_mesh)
 from geosp.parcellator import Parcellation
 from geosp.util import derive_seed
+
+from helpers import MESH_KINDS, irregular_mesh
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +156,60 @@ def test_run_metadata(small_atlas):
     assert sum(summary["parcel_sizes"]) == mesh.vertex_count
 
 
+def _deterministic_summary(result) -> dict:
+    """summary() without its wall-clock fields."""
+    summary = result.summary()
+    del summary["total_seconds"]
+    for region in summary["regions"]:
+        del region["seconds"]
+    return summary
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS), st.integers(1, 5),
+       st.booleans())
+def test_pipeline_is_a_partition_whatever_the_worker_count(seed, kind, regions, scattered):
+    """Both modes on irregular meshes: a partition of the vertices into the
+    planned number of parcels, contiguous provenance ids, and the same
+    sub_parcel and summary for workers 1, 2 and 8. Scattered labels make
+    regions and hemispheres that fall apart into pieces."""
+    rng = np.random.default_rng(seed)
+    mesh = irregular_mesh(kind, rng)
+    n = mesh.vertex_count
+    if scattered:
+        labels = rng.integers(0, regions, size=n)
+        hemis = rng.integers(0, 2, size=n)
+    else:  # bands along x
+        order = np.argsort(mesh.vertices[:, 0], kind="stable")
+        labels = np.empty(n, dtype=np.int64)
+        labels[order] = np.arange(n) * regions // n
+        hemis = (labels >= (regions + 1) // 2).astype(np.int64)
+    present, sizes = np.unique(labels, return_counts=True)
+    plan = AtlasPlan({int(r): int(rng.integers(1, min(size, 6) + 1))
+                      for r, size in zip(present, sizes)})
+    hemi_sizes = np.unique(hemis, return_counts=True)[1]
+    k = int(rng.integers(1, min(hemi_sizes.min(), 6) + 1))
+    config = KmeansConfig(k=1, rng_seed=int(rng.integers(1 << 31)))
+
+    for run, region_of, want_k in (
+            (lambda w: parcellate_atlas_mode(mesh, labels, plan, config, workers=w), labels,
+             plan.k_by_region),
+            (lambda w: parcellate_whole_mode(mesh, hemis, k, config, workers=w), hemis,
+             {int(h): k for h in np.unique(hemis)})):
+        results = [run(w) for w in (1, 2, 8)]
+        p = results[0].parcellation
+        _check_parcellation(p, n)
+        assert p.parcel_count == sum(want_k.values())
+        assert sorted(p.provenance.values()) == [(r, local) for r in sorted(want_k)
+                                                 for local in range(want_k[r])]
+        for gid, (region, _local) in p.provenance.items():
+            assert set(region_of[p.sub_parcel == gid].tolist()) == {region}
+        for other in results[1:]:
+            assert other.parcellation.sub_parcel.tobytes() == p.sub_parcel.tobytes()
+            assert other.parcellation.provenance == p.provenance
+            assert _deterministic_summary(other) == _deterministic_summary(results[0])
+
+
 # -- whole mode ----------------------------------------------------------------
 
 
@@ -211,14 +268,12 @@ def _peak_extra_threads(run) -> int:
     return peak - baseline - 1  # minus the watcher
 
 
-def test_whole_mode_runs_at_most_workers_threads():
-    mesh, _regions, hemis = atlas_mesh(40, 42)
-    # Two hemispheres: one thread each, none left over for medoid updates.
-    assert _peak_extra_threads(lambda: parcellate_whole_mode(mesh, hemis, 10, workers=2)) <= 2
-    # One hemisphere: one task, run on the calling thread, so no thread starts.
-    grid = grid_mesh(40, 42)
-    single = np.zeros(grid.vertex_count, dtype=np.int64)
-    assert _peak_extra_threads(lambda: parcellate_whole_mode(grid, single, 10, workers=2)) == 0
+def test_parcellation_starts_no_thread(small_atlas):
+    mesh, regions, _ = small_atlas  # 70 regions
+    plan = AtlasPlan.uniform(regions, 2)
+    assert _peak_extra_threads(lambda: parcellate_atlas_mode(mesh, regions, plan, workers=8)) == 0
+    mesh, _regions, hemis = atlas_mesh(40, 42)  # two hemispheres
+    assert _peak_extra_threads(lambda: parcellate_whole_mode(mesh, hemis, 10, workers=2)) == 0
 
 
 def test_whole_mode_k_exceeds_hemisphere():
