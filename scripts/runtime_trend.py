@@ -2,9 +2,11 @@
 """Timing sweep: atlas-based subdivision vs whole-hemisphere subdivision.
 
 For a range of total sub-parcel counts on the same synthetic cortex, times
-both modes and prints a table. Atlas mode stays cheap as the count grows
-(small per-region problems), while whole mode grows with it (seeding,
-assignment and the medoid searches run on hemisphere-sized graphs).
+both modes and prints a table. In both modes every region or hemisphere runs
+in lockstep, one shortest-path sweep serving all of them. Atlas mode stays
+cheap as the count grows (small per-region problems), while whole mode grows
+with it (seeding takes one sweep per centroid over a hemisphere-sized graph,
+and the medoid searches run on larger clusters).
 """
 import argparse
 import time

@@ -18,8 +18,9 @@ from .parcellator import AtlasPlan, parcellate_atlas_mode, parcellate_whole_mode
 def _add_kmeans_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="accepted and validated (>= 1), but region or hemisphere tasks "
-                        "currently run one at a time (default: available parallelism)")
+                   help="accepted and validated (>= 1), but it does not change how the "
+                        "work runs: all regions or hemispheres run in lockstep on the "
+                        "calling thread (default: available parallelism)")
     p.add_argument("--tolerance", type=float, default=2.0,
                    help="convergence tolerance in mm (default 2.0)")
     p.add_argument("--max-iterations", type=int, default=20,

@@ -1,27 +1,32 @@
 """Geodesic graph k-means: k-means++ seeding, nearest-centroid groups, medoid updates.
 
-Centroids are always graph vertices (medoids). k-means++ seeding lowers one
-nearest-centroid field with a bounded Dijkstra per new centroid, which visits
-only the vertices that move closer (the graph form of triangle-inequality
-pruning for k-means++, Raff, IJCAI 2021). Assignment uses multi-source
-geodesic distances; each centroid update finds the exact medoid of its
-cluster (the vertex minimizing the distance sum within the cluster's induced
-subgraph) by Dijkstra runs from a few members, pruning the rest with
-triangle-inequality lower bounds (Newling & Fleuret, AISTATS 2017). The first
-of those runs, from the previous centroid, is read from the assignment's
-distance field. A cluster of c vertices costs O(c^2) memory and typically
-about a dozen Dijkstras at a few hundred vertices, against O(c^3) for all
-pairs. All tie-breaking is by smallest index (centroid list position for
-assignment, vertex index for medoids), which makes runs bit-reproducible.
+Centroids are always graph vertices (medoids). Every function runs on
+blocks: disjoint vertex sets of one graph that no edge joins (the parcellator
+passes one block per atlas region or hemisphere, over the mesh graph with
+the edges between labels cut). One shortest-path sweep from one source per
+block then gives every block its own distances, so all blocks advance in
+lockstep: k-means++ step t is one bounded sweep from the t-th centroid of
+every block that still seeds, an assignment is one multi-source sweep, and a
+medoid round is one sweep over the intra-cluster edges from one source per
+still-open cluster. Each block keeps its own k, RNG stream, iteration count
+and stop test, so its result is what it would be alone. A plain graph is
+one block.
+
+Seeding prunes by the triangle inequality (Raff, IJCAI 2021): each step's
+sweep is bounded by the nearest-centroid field. Medoids are exact but found
+from the distance rows of a few members, the rest pruned by
+triangle-inequality lower bounds (Newling & Fleuret, AISTATS 2017). All
+tie-breaking is by smallest index (centroid list position for assignment,
+vertex index for medoids), which makes runs bit-reproducible.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .surface_graph import (SurfaceGraph, _dijkstra, _induced_adjacency, multi_source_sssp,
-                            sssp)
+from .surface_graph import SurfaceGraph, _sweep, cut_graph, multi_source_sssp, sssp
 
 
 @dataclass
@@ -45,16 +50,47 @@ class KmeansResult:
     """Final grouping plus run diagnostics."""
 
     groups: list[np.ndarray]           # per-cluster sorted vertex index arrays
-    assignment: np.ndarray             # per-vertex cluster id in [0, k)
+    assignment: np.ndarray             # per-vertex cluster id in [0, k), in block vertex order
     centroids: list[int]               # centroids after the last update step
     iterations: int
     converged_by_tolerance: bool
     last_shift_mm: float
     euclidean_fallbacks: int           # vertices ever assigned by the Euclidean fallback
     energy_history: list[float] = field(default_factory=list)
+    seconds: float = 0.0               # run start to this block's last iteration end
 
 
-def kmeanspp_init(graph: SurfaceGraph, k: int, rng_seed: int) -> list[int]:
+@dataclass(frozen=True)
+class Block:
+    """One k-means problem inside a larger graph: its sorted vertex ids, its k
+    and its RNG seed. No edge of the graph may join two blocks."""
+
+    ids: np.ndarray
+    k: int
+    rng_seed: int
+
+
+@dataclass
+class LockstepResult:
+    """One KmeansResult per block, in block order, plus their totals."""
+
+    blocks: list[KmeansResult]
+
+    @property
+    def iterations(self) -> int:
+        return sum(r.iterations for r in self.blocks)
+
+    @property
+    def euclidean_fallbacks(self) -> int:
+        return sum(r.euclidean_fallbacks for r in self.blocks)
+
+
+def _whole(graph: SurfaceGraph, k, rng_seed) -> list[Block]:
+    return [Block(np.arange(graph.vertex_count), k, rng_seed)]
+
+
+def kmeanspp_init(graph: SurfaceGraph, k: int | None = None, rng_seed: int = 0,
+                  blocks: list[Block] | None = None):
     """k-means++ seeding with geodesic D(x): first centroid uniform, then each
     new centroid drawn with probability proportional to D(x)^2, where D(x) is
     the geodesic distance to the nearest chosen centroid.
@@ -62,45 +98,73 @@ def kmeanspp_init(graph: SurfaceGraph, k: int, rng_seed: int) -> list[int]:
     Vertices unreachable from every chosen centroid get D(x) = (max finite
     distance) + 1 mm so they stay selectable. Deterministic given rng_seed.
 
-    Each new centroid's Dijkstra starts from the current nearest field as its
-    bound (sssp's `bound`), so it visits only the vertices it brings closer
-    and returns exactly the minimum a full run would give.
+    Without `blocks`, seeds k centroids over the whole graph and returns
+    them. With `blocks`, seeds every block with its own k and seed and
+    returns one centroid list per block; step t is one sssp call from the
+    t-th centroid of every block with k > t. Each step's sweep starts from
+    the current nearest field as its bound (sssp's `bound`), so it visits
+    only the vertices it brings closer and returns exactly the minimum a
+    full run would give.
     """
-    n = graph.vertex_count
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} must be in [1, {n}]")
-    rng = np.random.default_rng(rng_seed)
-    first = int(rng.integers(n))
-    centroids = [first]
-    nearest = sssp(graph, first).dist
-    for _ in range(k - 1):
-        d = nearest.copy()
-        missing = np.isinf(d)
-        if missing.any():
-            d[missing] = d[~missing].max() + 1.0
-        cum = np.cumsum(d * d)
-        r = rng.random() * cum[-1]
-        nxt = int(np.searchsorted(cum, r, side="right"))
-        nxt = min(nxt, n - 1)
-        centroids.append(nxt)
-        nearest = sssp(graph, nxt, nearest).dist
-    return centroids
+    whole = blocks is None
+    blocks = _whole(graph, k, rng_seed) if whole else blocks
+    for b in blocks:
+        if not 1 <= b.k <= len(b.ids):
+            raise ValueError(f"k={b.k} must be in [1, {len(b.ids)}]")
+    rngs = [np.random.default_rng(b.rng_seed) for b in blocks]
+    centroids = [[int(b.ids[rng.integers(len(b.ids))])] for b, rng in zip(blocks, rngs)]
+    nearest = sssp(graph, [c[0] for c in centroids]).dist
+    for step in range(1, max(b.k for b in blocks)):
+        new = []
+        for b, rng, chosen in zip(blocks, rngs, centroids):
+            if b.k <= step:
+                continue
+            d = nearest[b.ids]
+            missing = np.isinf(d)
+            if missing.any():
+                d[missing] = d[~missing].max() + 1.0
+            cum = np.cumsum(d * d)
+            r = rng.random() * cum[-1]
+            nxt = min(int(np.searchsorted(cum, r, side="right")), len(b.ids) - 1)
+            chosen.append(int(b.ids[nxt]))
+            new.append(chosen[-1])
+        nearest = sssp(graph, new, nearest).dist
+    return centroids[0] if whole else centroids
+
+
+def _assign_blocks(graph: SurfaceGraph, centroids: np.ndarray, id_sets, ks):
+    """Nearest-centroid assignment of several blocks in one sweep.
+
+    `centroids` lists each block's centroids in turn (ks[i] for block i).
+    Returns (assignment, fallbacks, dist): per-vertex index into `centroids`
+    (-1 outside the blocks), per-block Euclidean fallback counts, and the
+    multi-source distance field.
+    """
+    field_ = multi_source_sssp(graph, centroids)
+    lookup = np.full(graph.vertex_count, -1, dtype=np.int64)
+    lookup[centroids] = np.arange(len(centroids))
+    assignment = np.where(field_.nearest_source >= 0, lookup[field_.nearest_source], -1)
+    fallbacks, start = [], 0
+    for ids, k in zip(id_sets, ks):
+        unreached = ids[assignment[ids] < 0]
+        if len(unreached):
+            # Geodesically isolated vertices fall back to ambient Euclidean
+            # distance to their own block's centroids.
+            cpos = graph.positions[centroids[start:start + k]]
+            diffs = graph.positions[unreached, None, :] - cpos[None, :, :]
+            assignment[unreached] = start + np.argmin(np.einsum("ijk,ijk->ij", diffs, diffs),
+                                                      axis=1)
+        fallbacks.append(len(unreached))
+        start += k
+    return assignment, fallbacks, field_.dist
 
 
 def _assign(graph: SurfaceGraph, centroids: list[int]):
     """Nearest-centroid assignment; returns (assignment, fallback count, distances)."""
-    field_ = multi_source_sssp(graph, centroids)
-    lookup = np.full(graph.vertex_count, -1, dtype=np.int64)
-    lookup[np.asarray(centroids)] = np.arange(len(centroids))
-    assignment = np.where(field_.nearest_source >= 0,
-                          lookup[field_.nearest_source], -1)
-    unreached = np.flatnonzero(assignment < 0)
-    if len(unreached):
-        # Geodesically isolated vertices fall back to ambient Euclidean distance.
-        cpos = graph.positions[np.asarray(centroids)]
-        diffs = graph.positions[unreached, None, :] - cpos[None, :, :]
-        assignment[unreached] = np.argmin(np.einsum("ijk,ijk->ij", diffs, diffs), axis=1)
-    return assignment, len(unreached), field_.dist
+    centroids = np.asarray(centroids, dtype=np.int64)
+    assignment, fallbacks, dist = _assign_blocks(graph, centroids, [np.arange(graph.vertex_count)],
+                                                 [len(centroids)])
+    return assignment, fallbacks[0], dist
 
 
 def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, int]:
@@ -122,77 +186,135 @@ def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, 
 # always evaluated.
 _PRUNE_PAD = 1e-9
 
+# float64 elements of the r x columns x c difference block in _lower_bounds
+# (2 MB). The first update (r = 1) needs no second buffer, so it takes four
+# times as many (8 MB): one block up to c = 1024 members.
+_BOUND_BLOCK = 1 << 18
+
+
+def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each candidate x in `cols`: sum over members j of max over
+    evaluated rows s of |d(s,j) - d(s,x)|, which is at most d(x,j) by the
+    triangle inequality, so at most x's distance sum.
+
+    Built in blocks of columns, so it holds at most 4 * _BOUND_BLOCK floats
+    at once, whatever the cluster size.
+    """
+    r, c = rows.shape
+    step = max(1, (_BOUND_BLOCK if r > 1 else 4 * _BOUND_BLOCK) // (r * c))
+    lower = np.empty(len(cols))
+    for a in range(0, len(cols), step):
+        gap = rows[:, cols[a:a + step], None] - rows[:, None, :]
+        np.abs(gap, out=gap)
+        lower[a:a + step] = (gap.max(axis=0) if r > 1 else gap[0]).sum(axis=1)
+        del gap  # before the next block is built
+    return lower
+
+
+class _MedoidSearch:
+    """Pruned exact medoid search of one cluster component, one row at a time.
+
+    Members are evaluated in this order: first the previous centroid, then
+    the member farthest from it, then the member farthest from both; after
+    that the open candidate with the smallest lower bound (_lower_bounds).
+    A candidate is pruned once its bound exceeds the best sum (padded by
+    _PRUNE_PAD); the search ends when no candidate is open. Only the
+    evaluated rows are kept, and the bounds are rebuilt from them.
+    """
+
+    def __init__(self, sel: np.ndarray, row: np.ndarray, p: int):
+        self.sel = sel            # the component's vertex ids, ascending
+        self.p = p                # position in sel of the row being evaluated
+        self.rows = np.empty((4, len(sel)))
+        self.evaluated = 0
+        self.open = np.arange(len(sel))
+        self.near = np.full(len(sel), np.inf)
+        self.best_sum, self.best = np.inf, -1
+        self.pad = _PRUNE_PAD * 2 * len(sel) * row.max()
+
+    def take(self, row: np.ndarray) -> int | None:
+        """Take the row of the candidate at self.p (distances to sel); return
+        the vertex whose row comes next, or None once the medoid is known."""
+        p = self.p
+        total = row.sum()
+        if total < self.best_sum or (total == self.best_sum and p < self.best):
+            self.best_sum, self.best = total, p
+        if self.evaluated == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+        self.rows[self.evaluated] = row
+        self.evaluated += 1
+        open_ = self.open[self.open != p]
+        lower = _lower_bounds(self.rows[:self.evaluated], open_)
+        keep = lower <= self.best_sum + self.pad
+        self.open, lower = open_[keep], lower[keep]
+        if not len(self.open):
+            return None
+        if self.evaluated < 3:
+            self.near = np.minimum(self.near, row)
+            self.p = int(np.argmax(self.near))
+        else:
+            self.p = int(self.open[np.argmin(lower)])
+        return int(self.sel[self.p])
+
+    @property
+    def medoid(self) -> int:
+        return int(self.sel[self.best])
+
+
+def _medoids(graph: SurfaceGraph, assignment: np.ndarray, clusters: list[np.ndarray],
+             previous: list[int], dist: np.ndarray | None) -> list[int]:
+    """Exact medoids of all clusters, in lockstep: each round is one sweep
+    over the intra-cluster edges, with one source per still-open cluster."""
+    within = cut_graph(graph, assignment)
+    medoids: list[int | None] = [None] * len(clusters)
+    anchors, rows = {}, {}  # first row: from the previous centroid if the cluster holds it
+    for i, (ids, prev) in enumerate(zip(clusters, previous)):
+        where = int(np.searchsorted(ids, prev))
+        anchored = where < len(ids) and ids[where] == prev
+        if len(ids) == 1:
+            medoids[i] = int(ids[0])
+        elif anchored and dist is not None:
+            anchors[i], rows[i] = prev, dist[ids]
+        else:
+            anchors[i] = prev if anchored else int(ids[0])
+    unswept = [i for i in anchors if i not in rows]
+    if unswept:
+        field_ = _sweep(within, np.array([anchors[i] for i in unswept]))[0]
+        rows.update((i, field_[clusters[i]]) for i in unswept)
+
+    searches: dict[int, _MedoidSearch] = {}
+    for i, anchor in anchors.items():
+        reached = np.isfinite(rows[i])
+        if anchor != previous[i] and not reached.all():
+            raise ValueError("disconnected cluster without its previous centroid")
+        sel = clusters[i][reached]
+        if len(sel) == 1:
+            medoids[i] = anchor
+        else:
+            rows[i] = rows[i][reached]
+            searches[i] = _MedoidSearch(sel, rows[i], int(np.searchsorted(sel, anchor)))
+    while searches:
+        sources = {i: search.take(rows[i]) for i, search in searches.items()}
+        for i in [i for i, v in sources.items() if v is None]:
+            medoids[i] = searches.pop(i).medoid
+        if searches:
+            field_ = _sweep(within, np.array([sources[i] for i in searches]))[0]
+            rows = {i: field_[search.sel] for i, search in searches.items()}
+    return medoids
+
 
 def _cluster_medoid(graph: SurfaceGraph, ids: np.ndarray, previous_centroid: int,
                     dist: np.ndarray | None = None) -> int:
     """Exact medoid of one cluster: the member with the smallest distance sum
     within the cluster-induced subgraph, ties to the smallest vertex index.
 
-    Members are evaluated one Dijkstra at a time: first the previous
-    centroid, then the member farthest from it, then the member farthest
-    from both; after that the open candidate with the smallest lower bound.
-    gap[j, x] = max over evaluated sources s of |d(s,j) - d(s,x)| is at most
-    d(x,j) by the triangle inequality, so its column sum bounds x's distance
-    sum from below, and x is pruned once that bound exceeds the best sum
-    (padded by _PRUNE_PAD). The search stops when no candidate is open.
-    Memory: two c x c float64 buffers at the first step (c = component
-    size), 16*c^2 bytes, shrinking as candidates are pruned.
-
     If the subgraph is disconnected, only the component holding the
     previous centroid counts; without the previous centroid in the cluster
-    that raises ValueError.
-
-    `dist`, if given, is the multi-source field the cluster was assigned
-    from (see comp_centroids). When the cluster holds its previous centroid,
-    dist[ids] is used as that centroid's row instead of a Dijkstra run.
+    that raises ValueError. `dist` is as in comp_centroids.
     """
-    m = len(ids)
-    if m == 1:
-        return int(ids[0])
-    adjacency = _induced_adjacency(graph, ids)
-    where_prev = int(np.searchsorted(ids, previous_centroid))
-    anchored = where_prev < m and ids[where_prev] == previous_centroid
-    anchor = where_prev if anchored else 0
-    if anchored and dist is not None:
-        first = dist[ids]
-    else:
-        first = np.asarray(_dijkstra(adjacency, [anchor])[0])
-    sel = np.flatnonzero(np.isfinite(first))
-    if not anchored and len(sel) < m:
-        raise ValueError("disconnected cluster without its previous centroid")
-    c = len(sel)
-    if c == 1:
-        return int(ids[anchor])
-
-    # Positions below index into sel, whose order is vertex-index order.
-    row = first[sel]
-    pad = _PRUNE_PAD * 2 * c * row.max()
-    open_ = np.arange(c)
-    gap = 0.0  # becomes the (c, len(open_)) bound matrix
-    near = np.full(c, np.inf)
-    best_sum, best = np.inf, -1
-    p = int(np.searchsorted(sel, anchor))
-    for evaluated in range(1, c + 1):
-        total = row.sum()
-        if total < best_sum or (total == best_sum and p < best):
-            best_sum, best = total, p
-        # In place, so at most two (c, len(open_)) buffers are ever alive.
-        diff = np.subtract.outer(row, row[open_])
-        gap = np.maximum(np.abs(diff, out=diff), gap, out=diff)
-        del diff
-        lower = gap.sum(axis=0)
-        keep = (lower <= best_sum + pad) & (open_ != p)
-        # compress keeps gap C-ordered, as the next update expects for speed.
-        open_, gap, lower = open_[keep], gap.compress(keep, axis=1), lower[keep]
-        if not len(open_):
-            break
-        if evaluated < 3:
-            near = np.minimum(near, row)
-            p = int(np.argmax(near))
-        else:
-            p = int(open_[np.argmin(lower)])
-        row = np.asarray(_dijkstra(adjacency, [int(sel[p])])[0])[sel]
-    return int(ids[sel[best]])
+    assignment = np.full(graph.vertex_count, -1, dtype=np.int64)
+    assignment[ids] = 0
+    return _medoids(graph, assignment, [np.asarray(ids)], [int(previous_centroid)], dist)[0]
 
 
 def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
@@ -201,30 +323,32 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
 
     The medoid minimizes the sum of geodesic distances within the cluster's
     induced subgraph; ties go to the smallest vertex index. It comes from a
-    pruned search (see _cluster_medoid): Dijkstra from the previous centroid
-    and a few far members, then from the candidates whose lower bound could
-    still win, with O(c^2) memory for a cluster of c vertices. For a
-    disconnected cluster subgraph the medoid is taken on the component
-    containing that cluster's previous centroid. Clusters are processed one
-    after another in cluster-id order.
+    pruned search (see _MedoidSearch) over rows from the previous centroid,
+    a few far members and the candidates whose lower bound could still win.
+    All clusters search at once: every round is one sweep over the graph
+    with the edges between clusters cut, from one source per open cluster.
+    For a disconnected cluster subgraph the medoid is taken on the component
+    containing that cluster's previous centroid. Vertices with an id outside
+    [0, k) belong to no cluster.
 
     `dist` is optional: the multi-source field that `assignment` came from
     (multi_source_sssp over `centroids`, as parallel_kmeans computes it).
     In that run a vertex's final source is its parent's, so the path behind
     dist[v] stays inside v's cluster and dist restricted to a cluster equals
     the induced-subgraph distances from its centroid bit for bit. With it,
-    each cluster that holds its previous centroid skips that centroid's
-    Dijkstra; without it, or for a cluster that lacks its previous centroid,
-    the row is computed.
+    each cluster that holds its previous centroid takes that row from dist;
+    without it, or for a cluster that lacks its previous centroid, the row
+    is computed.
     """
+    assignment = np.asarray(assignment)
     k = len(centroids)
-    clusters = []
-    for i in range(k):
-        ids = np.flatnonzero(assignment == i)
-        if len(ids) == 0:
-            raise ValueError(f"cluster {i} is empty")
-        clusters.append(ids)
-    return [_cluster_medoid(graph, ids, c, dist) for ids, c in zip(clusters, centroids)]
+    members = np.flatnonzero((assignment >= 0) & (assignment < k))
+    sizes = np.bincount(assignment[members], minlength=k)
+    if not sizes.all():
+        raise ValueError(f"cluster {int(np.argmin(sizes))} is empty")
+    order = members[np.argsort(assignment[members], kind="stable")]
+    clusters = np.split(order, np.cumsum(sizes)[:-1])
+    return _medoids(graph, assignment, clusters, [int(c) for c in centroids], dist)
 
 
 def max_centroid_shift_mm(old: list[int], new: list[int], graph: SurfaceGraph) -> float:
@@ -244,49 +368,73 @@ def stop_criterion(old_centroids: list[int], new_centroids: list[int],
     return iteration >= config.max_iterations
 
 
-def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig) -> KmeansResult:
+def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
+                    blocks: list[Block] | None = None):
     """Full clustering loop: seed, then alternate assignment and medoid updates
     until centroids move less than the tolerance or the iteration cap hits.
 
+    Without `blocks`, clusters the whole graph with config.k and
+    config.rng_seed and returns a KmeansResult. With `blocks`, clusters
+    every block with its own k and seed, all in lockstep (see the module
+    docstring), and returns a LockstepResult; config then supplies only the
+    iteration cap and the tolerance. A block drops out of the lockstep when
+    its own stop test holds, so its result equals that of a run on its
+    induced subgraph alone.
+
     k=1 short-circuits to a single group holding every vertex. The returned
-    groups always partition the vertex set and are identical across reruns
-    with the same inputs. Each medoid update reuses the assignment's
-    distance field (see comp_centroids).
+    groups always partition each block and are identical across reruns with
+    the same inputs. Each medoid update reuses the assignment's distance
+    field (see comp_centroids).
     """
-    n = graph.vertex_count
-    if config.k > n:
-        raise ValueError(f"k={config.k} exceeds vertex count {n}")
-    if config.k == 1:
-        return KmeansResult(groups=[np.arange(n)], assignment=np.zeros(n, dtype=np.int64),
-                            centroids=[], iterations=0, converged_by_tolerance=False,
-                            last_shift_mm=0.0, euclidean_fallbacks=0)
-
-    centroids = kmeanspp_init(graph, config.k, config.rng_seed)
-    total_fallbacks = 0
-    energy: list[float] = []
-    iteration = 0
-    shift = float("inf")
-    converged = False
-    assignment = None
+    whole = blocks is None
+    blocks = _whole(graph, config.k, config.rng_seed) if whole else blocks
+    for b in blocks:
+        if b.k > len(b.ids):
+            raise ValueError(f"k={b.k} exceeds vertex count {len(b.ids)}")
+    t0 = time.perf_counter()
+    results: list[KmeansResult | None] = [None] * len(blocks)
+    for i, b in enumerate(blocks):
+        if b.k == 1:
+            results[i] = KmeansResult(groups=[b.ids],
+                                      assignment=np.zeros(len(b.ids), dtype=np.int64),
+                                      centroids=[], iterations=0, converged_by_tolerance=False,
+                                      last_shift_mm=0.0, euclidean_fallbacks=0)
+    active = [i for i, r in enumerate(results) if r is None]
+    centroids = (dict(zip(active, kmeanspp_init(graph, blocks=[blocks[i] for i in active])))
+                 if active else {})
+    energy = {i: [] for i in active}
+    fallbacks_total = dict.fromkeys(active, 0)
     for iteration in range(1, config.max_iterations + 1):
-        assignment, fallbacks, dist = _assign(graph, centroids)
-        # Each centroid is at distance 0 from itself and every edge weight is
-        # positive, so no other centroid can claim it: no cluster is empty.
-        if not np.bincount(assignment, minlength=config.k).all():
-            raise AssertionError("assignment left a cluster empty")
-        total_fallbacks += fallbacks
-        energy.append(float(dist[np.isfinite(dist)].sum()))
-
-        new_centroids = comp_centroids(graph, assignment, centroids, dist)
-        shift = max_centroid_shift_mm(centroids, new_centroids, graph)
-        converged = stop_criterion(centroids, new_centroids, graph, iteration, config)
-        centroids = new_centroids
-        if converged:
+        if not active:
             break
-
-    groups = [np.flatnonzero(assignment == i) for i in range(config.k)]
-    return KmeansResult(groups=groups, assignment=assignment, centroids=centroids,
-                        iterations=iteration,
-                        converged_by_tolerance=shift < config.convergence_tolerance_mm,
-                        last_shift_mm=shift, euclidean_fallbacks=total_fallbacks,
-                        energy_history=energy)
+        flat = np.array([c for i in active for c in centroids[i]], dtype=np.int64)
+        ks = [blocks[i].k for i in active]
+        assignment, fallbacks, dist = _assign_blocks(graph, flat, [blocks[i].ids for i in active],
+                                                     ks)
+        # Each centroid is at distance 0 from itself and every edge weight is
+        # positive, so no other centroid can claim it: no cluster is empty
+        # (comp_centroids would raise).
+        new_flat = comp_centroids(graph, assignment, flat.tolist(), dist)
+        still, start = [], 0
+        for i, k, fallback in zip(active, ks, fallbacks):
+            ids = blocks[i].ids
+            fallbacks_total[i] += fallback
+            d = dist[ids]
+            energy[i].append(float(d[np.isfinite(d)].sum()))
+            new = new_flat[start:start + k]
+            shift = max_centroid_shift_mm(centroids[i], new, graph)
+            converged = stop_criterion(centroids[i], new, graph, iteration, config)
+            centroids[i] = new
+            if converged:
+                local = assignment[ids] - start
+                results[i] = KmeansResult(
+                    groups=[ids[local == j] for j in range(k)], assignment=local,
+                    centroids=new, iterations=iteration,
+                    converged_by_tolerance=shift < config.convergence_tolerance_mm,
+                    last_shift_mm=shift, euclidean_fallbacks=fallbacks_total[i],
+                    energy_history=energy[i], seconds=time.perf_counter() - t0)
+            else:
+                still.append(i)
+            start += k
+        active = still
+    return results[0] if whole else LockstepResult(results)

@@ -1,17 +1,57 @@
-"""Brute-force reference implementations used to cross-check the fast paths.
+"""Reference implementations used to cross-check the fast paths.
 
 These deliberately share no shortest-path code with surface_graph, whose one
-heap Dijkstra loop serves every fast path: single-source distances and medoids
-come from whole-edge-array relaxation sweeps (Bellman-Ford style, no priority
-queue), and all-pairs distances from dense Floyd-Warshall. They are meant for
-graphs of a few hundred vertices.
+frontier relaxation kernel serves every fast path. oracle_dijkstra is a heap
+Dijkstra over per-vertex Python lists, the bit-exact reference for that
+kernel's distances and nearest sources. Single-source distances and medoids
+also come from whole-edge-array relaxation sweeps (Bellman-Ford style, no
+priority queue), and all-pairs distances from dense Floyd-Warshall. They are
+meant for graphs of a few hundred vertices.
 """
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .surface_graph import (APSP_VERTEX_CAP, DistanceField, SurfaceGraph, UNREACHABLE,
                             induced_subgraph)
+
+
+def oracle_dijkstra(graph: SurfaceGraph, sources, bound=None) -> tuple[np.ndarray, np.ndarray]:
+    """Heap Dijkstra from one or more sources.
+
+    Returns per-vertex (dist, pos): the minimum distance over the sources and
+    the position in `sources` of the source achieving it (-1 where
+    unreachable); exact distance ties go to the earlier position. `bound`, a
+    per-vertex array, starts dist there instead of at UNREACHABLE; a vertex
+    keeps pos -1 unless some source improves on its bound strictly.
+    """
+    ends = graph.indptr.tolist()
+    nbrs, wts = graph.neighbor_indices.tolist(), graph.neighbor_weights.tolist()
+    adjacency = [(nbrs[a:b], wts[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+    n = graph.vertex_count
+    src = [int(s) for s in sources]
+    dist = [UNREACHABLE] * n if bound is None else [float(b) for b in bound]
+    pos = [-1] * n
+    heap = []
+    for p, s in enumerate(src):
+        dist[s] = 0.0
+        pos[s] = p
+        heap.append((0.0, s))
+    heapify(heap)
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        p = pos[u]
+        for v, w in zip(*adjacency[u]):
+            nd = d + w
+            if nd <= dist[v] and (nd < dist[v] or p < pos[v]):
+                dist[v] = nd
+                pos[v] = p
+                heappush(heap, (nd, v))
+    return np.asarray(dist, dtype=np.float64), np.asarray(pos, dtype=np.int64)
 
 
 def oracle_sssp(graph: SurfaceGraph, source: int) -> DistanceField:

@@ -1,23 +1,25 @@
 """Atlas-mode and whole-mode orchestration producing a global Parcellation.
 
 Atlas mode runs one k-means per labeled region, whole mode one per
-hemisphere. _run_tasks runs the tasks one at a time on the calling thread;
-`workers` is validated and accepted but does not change how they run. Each
-task draws its RNG seed from the base seed XOR a hash of its region id, so
-results never depend on worker count, task order, or which other regions
-are in the plan.
+hemisphere. All of them run as blocks of one lockstep k-means call
+(kmeans.parallel_kmeans) over the mesh graph with the edges between labels
+cut, so every shortest-path sweep serves every region at once. `workers` is
+validated and accepted but does not change how they run. Each region draws
+its RNG seed from the base seed XOR a hash of its region id and keeps its
+own iteration count and stop test, so results never depend on worker
+count, task order, or which other regions are in the plan.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .kmeans import KmeansConfig, parallel_kmeans
+from .kmeans import Block, KmeansConfig, parallel_kmeans
 from .mesh_io import TriangleMesh, _first, _read_rows, _significant_lines
-from .surface_graph import build_graph, extract_region_subgraph
+from .surface_graph import build_graph, cut_graph
 from .util import derive_seed
 
 
@@ -76,7 +78,8 @@ def _distinct_regions(rows, lines):
 
 @dataclass
 class RegionRun:
-    """Diagnostics for one region/hemisphere task."""
+    """Diagnostics for one region/hemisphere task. `seconds` runs from the start
+    of the lockstep k-means until this region's last iteration ended."""
 
     region: int
     k: int
@@ -118,24 +121,19 @@ class ParcellationResult:
 def _run_tasks(graph, labels, tasks, config):
     """Run (region, k) clustering tasks; returns per-task (groups, RegionRun).
 
-    Tasks run in task order on the calling thread. Each is a pure function of
-    (graph, labels, task, config), so a pool could map them without changing
-    any result.
+    Every task is one block of a single lockstep k-means over `graph` with
+    the edges between labels cut. Each is a pure function of (graph, labels,
+    task, config): no block's result depends on the others.
     """
-    def one(task):
-        region, k = task
-        sub, idmap = extract_region_subgraph(graph, labels, region)
-        cfg = replace(config, k=k, rng_seed=derive_seed(config.rng_seed, region))
-        t0 = time.perf_counter()
-        res = parallel_kmeans(sub, cfg)
-        dt = time.perf_counter() - t0
-        groups = [idmap[g] for g in res.groups]
-        return groups, RegionRun(region=region, k=k, vertex_count=len(idmap),
-                                 iterations=res.iterations,
-                                 converged_by_tolerance=res.converged_by_tolerance,
-                                 euclidean_fallbacks=res.euclidean_fallbacks, seconds=dt)
-
-    return [one(task) for task in tasks]
+    blocks = [Block(np.flatnonzero(labels == region), k, derive_seed(config.rng_seed, region))
+              for region, k in tasks]
+    result = parallel_kmeans(cut_graph(graph, labels), config, blocks)
+    return [(res.groups, RegionRun(region=region, k=k, vertex_count=len(b.ids),
+                                   iterations=res.iterations,
+                                   converged_by_tolerance=res.converged_by_tolerance,
+                                   euclidean_fallbacks=res.euclidean_fallbacks,
+                                   seconds=res.seconds))
+            for (region, k), b, res in zip(tasks, blocks, result.blocks)]
 
 
 def _assemble(vertex_count: int, outputs) -> Parcellation:
@@ -204,7 +202,7 @@ def parcellate_whole_mode(mesh: TriangleMesh, hemisphere_labels, k: int,
     """Subdivide each hemisphere graph into k sub-parcels, ignoring any atlas.
 
     hemisphere_labels must carry one or two distinct labels; the hemispheres
-    run one after the other on the calling thread, whatever `workers` is.
+    run in lockstep on the calling thread, whatever `workers` is.
     Total sub-parcels = k * number of hemispheres.
     """
     hemis, present, sizes = _vertex_labels(mesh, hemisphere_labels, "hemisphere labels", workers)

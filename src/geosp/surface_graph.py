@@ -1,8 +1,13 @@
 """Weighted surface graph and shortest-path primitives (SSSP, multi-source, APSP).
 
-Every shortest path comes from one heap loop, `_dijkstra`, which runs on
-per-vertex adjacency lists: the whole graph's (`SurfaceGraph._adjacency`) or
-a vertex subset's (`_induced_adjacency`, for k-means medoids).
+Every shortest path comes from one kernel, `_sweep`: label-correcting
+relaxation in numpy rounds over the graph's CSR arrays, each round relaxing
+only the out-edges of the vertices that changed in the round before. Its
+fixpoint is the heap Dijkstra's result bit for bit (oracles.oracle_dijkstra
+is that reference). One sweep from many sources costs about as much as one
+from a single source, so callers batch: `cut_graph` removes the edges
+between labels, after which one sweep with one source per label gives every
+label its own distances (kmeans runs every region and cluster this way).
 
 The graph's edges are exactly the unique triangle edges of the mesh, weighted
 by the Euclidean distance between their endpoints, so shortest paths measure
@@ -10,8 +15,8 @@ geodesic distance along the surface rather than straight-line distance.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -26,8 +31,7 @@ class SurfaceGraph:
     """Undirected weighted graph over mesh vertices; immutable after construction.
 
     Stores a symmetric CSR adjacency plus the vertex positions (mm). All
-    shortest-path operations are read-only, so one graph serves every region
-    or hemisphere task.
+    shortest-path operations are read-only.
     """
 
     def __init__(self, positions, edge_u, edge_v, edge_weights):
@@ -65,7 +69,6 @@ class SurfaceGraph:
         self.neighbor_weights = dw[idx]
         self.positions = positions
         self.vertex_count = n
-        self._adj = None
 
     @property
     def edge_count(self) -> int:
@@ -78,25 +81,6 @@ class SurfaceGraph:
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[u], self.indptr[u + 1]
         return self.neighbor_indices[lo:hi], self.neighbor_weights[lo:hi]
-
-    def _adjacency(self) -> tuple[list[list[int]], list[list[float]]]:
-        # Per-vertex neighbor and weight lists: the Dijkstra loop zips these
-        # faster than it indexes numpy arrays or flat CSR lists. Neighbor
-        # lists share one int object per vertex, so the cache stays about as
-        # small as flat lists.
-        if self._adj is None:
-            ids = list(range(self.vertex_count))
-            self._adj = _per_vertex_lists(self.indptr,
-                                          list(map(ids.__getitem__, self.neighbor_indices.tolist())),
-                                          self.neighbor_weights.tolist())
-        return self._adj
-
-
-def _per_vertex_lists(indptr, neighbors: list, weights: list):
-    """Split flat CSR neighbor and weight lists into one list per vertex."""
-    ends = indptr.tolist()
-    bounds = list(zip(ends[:-1], ends[1:]))
-    return [neighbors[a:b] for a, b in bounds], [weights[a:b] for a, b in bounds]
 
 
 @dataclass
@@ -149,27 +133,6 @@ def induced_subgraph(graph: SurfaceGraph, vertex_ids) -> SurfaceGraph:
     return SurfaceGraph(graph.positions[ids], lookup[eu[keep]], lookup[ev[keep]], ew[keep])
 
 
-def _induced_adjacency(graph: SurfaceGraph, ids: np.ndarray):
-    """Adjacency lists of the subgraph induced on sorted, unique `ids`,
-    reindexed to 0..len-1, read straight from the graph's CSR arrays.
-
-    Equals `induced_subgraph(graph, ids)._adjacency()` (neighbors stay in
-    ascending order) without building a SurfaceGraph.
-    """
-    lookup = np.full(graph.vertex_count, -1, dtype=np.int64)
-    lookup[ids] = np.arange(len(ids))
-    starts = graph.indptr[ids]
-    counts = graph.indptr[ids + 1] - starts
-    slots = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    local = lookup[graph.neighbor_indices[slots]]
-    keep = local >= 0
-    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(np.repeat(np.arange(len(ids)), counts)[keep], minlength=len(ids)),
-              out=indptr[1:])
-    return _per_vertex_lists(indptr, local[keep].tolist(),
-                             graph.neighbor_weights[slots[keep]].tolist())
-
-
 def extract_region_subgraph(graph: SurfaceGraph, labels,
                             region: int) -> tuple[SurfaceGraph, np.ndarray]:
     """Subgraph induced on vertices labeled `region`, plus the local->global index map."""
@@ -180,57 +143,110 @@ def extract_region_subgraph(graph: SurfaceGraph, labels,
     return induced_subgraph(graph, ids), ids
 
 
-def _dijkstra(adjacency, sources, bound=None) -> tuple[list[float], list[int]]:
-    """Heap Dijkstra from one or more sources, the one shortest-path loop.
+def cut_graph(graph: SurfaceGraph, labels) -> SurfaceGraph:
+    """`graph` without the edges whose two endpoints carry different labels.
 
-    `adjacency` is a pair of per-vertex neighbor and weight lists. Returns
-    per-vertex (dist, pos): the minimum distance over the sources and the
-    position in `sources` of the source achieving it (-1 where unreachable);
-    exact distance ties go to the earlier position.
-
-    `bound`, a per-vertex list, starts dist there instead of at UNREACHABLE;
-    a vertex keeps pos -1 unless some source improves on its bound strictly.
-    Only improved vertices are pushed, so the run visits just those.
+    Vertices, positions and the order of the edges that stay are kept, so a
+    shortest path in the result never leaves the label it starts in: one
+    sweep from one source per label gives each label its own distances.
     """
-    adj_nbrs, adj_wts = adjacency
-    n = len(adj_nbrs)
-    src = [int(s) for s in sources]
-    if not src:
-        raise ValueError("source list is empty")
-    if len(set(src)) != len(src):
-        raise ValueError("duplicate sources are not allowed")
-    for s in src:
-        if not 0 <= s < n:
-            raise ValueError(f"source vertex {s} out of range [0, {n})")
+    labels = np.asarray(labels)
+    if len(labels) != graph.vertex_count:
+        raise ValueError(f"{len(labels)} labels for {graph.vertex_count} vertices")
+    eu, ev, ew = graph.edges()
+    same = labels[eu] == labels[ev]
+    slot_same = np.repeat(labels, np.diff(graph.indptr)) == labels[graph.neighbor_indices]
+    kept_before = np.concatenate([[0], np.cumsum(slot_same)])
+    cut = copy.copy(graph)
+    cut._eu, cut._ev, cut._ew = eu[same], ev[same], ew[same]
+    cut.indptr = kept_before[graph.indptr]
+    cut.neighbor_indices = graph.neighbor_indices[slot_same]
+    cut.neighbor_weights = graph.neighbor_weights[slot_same]
+    return cut
 
-    dist = [UNREACHABLE] * n if bound is None else list(bound)
-    pos = [-1] * n
-    heap = []
-    for p, s in enumerate(src):
-        dist[s] = 0.0
-        pos[s] = p
-        heap.append((0.0, s))
-    heapify(heap)
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        # Weights are positive, so every vertex that can lower u's distance or
-        # tie it from an earlier source was popped before u: pos[u] is final.
-        p = pos[u]
-        for v, w in zip(adj_nbrs[u], adj_wts[u]):
-            nd = d + w
-            # An edge that does not improve v costs a single comparison. A tie
-            # with a bound (pos -1) is not an improvement.
-            if nd <= dist[v] and (nd < dist[v] or p < pos[v]):
-                dist[v] = nd
-                pos[v] = p
-                heappush(heap, (nd, v))
+
+def _check_sources(graph: SurfaceGraph, sources) -> np.ndarray:
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    n = graph.vertex_count
+    if not len(src):
+        raise ValueError("source list is empty")
+    bad = src[(src < 0) | (src >= n)]
+    if len(bad):
+        raise ValueError(f"source vertex {bad[0]} out of range [0, {n})")
+    if len(np.unique(src)) != len(src):
+        raise ValueError("duplicate sources are not allowed")
+    return src
+
+
+def _sweep(graph: SurfaceGraph, sources: np.ndarray, bound=None,
+           with_pos: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Shortest paths from several sources at once, the one shortest-path kernel.
+
+    Label correcting in rounds: each round relaxes the out-edges of the
+    vertices whose distance, or tie position, dropped in the round before,
+    so a round costs the frontier's edges, never the whole graph. It stops
+    at the fixpoint dist[v] = min over edges (u, v) of fl(dist[u] + w).
+    Float addition is monotone, and fl(d + w) > d whenever w is above the
+    rounding step of d (MIN_EDGE_WEIGHT_MM is, for every distance below
+    10**6 mm), so that fixpoint is unique: it is what a heap Dijkstra
+    returns, bit for bit.
+
+    Returns per-vertex (dist, pos): the minimum distance over the sources,
+    and with `with_pos` the position in `sources` of the source achieving it
+    (-1 where unreachable; exact ties go to the smaller position, which is
+    the minimum over the tight predecessors). Sources are not checked here.
+
+    `bound`, per-vertex distances, starts dist there instead of at
+    UNREACHABLE: the result is np.minimum(bound, field) whenever bound[v] <=
+    bound[u] + w on every edge, and only vertices that drop below their
+    bound are visited. A tie with a bound does not change pos.
+    """
+    indptr, nbrs, wts = graph.indptr, graph.neighbor_indices, graph.neighbor_weights
+    dist = (np.full(graph.vertex_count, UNREACHABLE) if bound is None
+            else np.array(bound, dtype=np.float64))
+    dist[sources] = 0.0
+    pos = None
+    if with_pos:
+        pos = np.full(graph.vertex_count, -1, dtype=np.int64)
+        pos[sources] = np.arange(len(sources))
+    frontier = sources
+    while len(frontier):
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+        v = nbrs[slots]
+        nd = np.repeat(dist[frontier], counts) + wts[slots]
+        old = dist[v]
+        if pos is None:
+            better = nd < old
+            v, nd = v[better], nd[better]
+            np.minimum.at(dist, v, nd)
+        else:
+            p = np.repeat(pos[frontier], counts)
+            better = (nd < old) | ((nd == old) & (p < pos[v]))
+            v, nd, p, old = v[better], nd[better], p[better], old[better]
+            np.minimum.at(dist, v, nd)
+            # The candidates that reach the new distance decide pos; a vertex
+            # whose distance dropped first forgets its old position.
+            tight = nd == dist[v]
+            v, p = v[tight], p[tight]
+            pos[v[nd[tight] < old[tight]]] = np.iinfo(np.int64).max
+            np.minimum.at(pos, v, p)
+        v.sort()  # the next frontier holds each changed vertex once
+        first = np.ones(len(v), dtype=bool)
+        np.not_equal(v[1:], v[:-1], out=first[1:])
+        frontier = v[first]
     return dist, pos
 
 
-def sssp(graph: SurfaceGraph, source: int, bound=None) -> DistanceField:
-    """Exact single-source shortest paths (Dijkstra on a binary heap).
+def sssp(graph: SurfaceGraph, source, bound=None) -> DistanceField:
+    """Exact shortest-path distances from one source vertex, or the minimum
+    over several.
+
+    Several sources in different components (k-means++ seeding passes one
+    new centroid per block of a block graph) give each component the
+    distances from its own source, in one sweep.
 
     With `bound` (per-vertex distances), returns exactly
     np.minimum(bound, sssp(graph, source).dist), visiting only the vertices
@@ -241,12 +257,13 @@ def sssp(graph: SurfaceGraph, source: int, bound=None) -> DistanceField:
     improve cannot improve anything after it, since float addition is
     monotone.
     """
+    src = _check_sources(graph, source)
     if bound is not None:
-        bound = np.asarray(bound, dtype=np.float64).tolist()
+        bound = np.asarray(bound, dtype=np.float64)
         if len(bound) != graph.vertex_count:
             raise ValueError(f"bound has {len(bound)} entries for {graph.vertex_count} vertices")
-    dist, _pos = _dijkstra(graph._adjacency(), [source], bound)
-    return DistanceField((int(source),), np.asarray(dist))
+    dist, _pos = _sweep(graph, src, bound)
+    return DistanceField(tuple(src.tolist()), dist)
 
 
 def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
@@ -255,25 +272,21 @@ def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
     nearest_source holds the winning source vertex; exact distance ties go to
     the source earliest in the `sources` list.
     """
-    src = [int(s) for s in sources]
-    dist, pos = _dijkstra(graph._adjacency(), src)
-    pos_arr = np.asarray(pos)
-    nearest = np.full(graph.vertex_count, -1, dtype=np.int64)
-    reached = pos_arr >= 0
-    nearest[reached] = np.asarray(src)[pos_arr[reached]]
-    return DistanceField(tuple(src), np.asarray(dist), nearest)
+    src = _check_sources(graph, sources)
+    dist, pos = _sweep(graph, src, with_pos=True)
+    nearest = np.where(pos >= 0, src[pos], -1)
+    return DistanceField(tuple(src.tolist()), dist, nearest)
 
 
 def apsp(graph: SurfaceGraph, max_vertices: int = APSP_VERTEX_CAP) -> np.ndarray:
-    """Dense all-pairs geodesic distance matrix, one Dijkstra row per vertex.
+    """Dense all-pairs geodesic distance matrix, one sweep per source vertex.
 
     Row i holds sssp(graph, i).dist. O(|V|^2) memory; refuses graphs above
     max_vertices to guard against an accidental whole-cortex call.
     Unreachable pairs carry UNREACHABLE. k-means does not use it: medoids
-    come from a pruned search (kmeans._cluster_medoid).
+    come from a pruned search (kmeans.comp_centroids).
     """
     n = graph.vertex_count
     if n > max_vertices:
         raise ValueError(f"graph has {n} vertices, above the APSP cap of {max_vertices}")
-    adjacency = graph._adjacency()
-    return np.array([_dijkstra(adjacency, [s])[0] for s in range(n)]).reshape(n, n)
+    return np.array([_sweep(graph, np.array([s]))[0] for s in range(n)]).reshape(n, n)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -306,19 +307,44 @@ def test_medoid_search_prunes_most_candidates(monkeypatch):
     rng = np.random.default_rng(3)
     g = build_graph(_jittered_rotated_grid(20, 21, rng))
     ids = np.arange(g.vertex_count)
-    runs = []
-    original = kmeans._dijkstra
+    evaluated = []  # one row per source of every medoid sweep
+    original = kmeans._sweep
 
-    def counting(adjacency, sources):
-        runs.append(sources)
-        return original(adjacency, sources)
+    def counting(graph, sources, *args, **kwargs):
+        evaluated.extend(sources.tolist())
+        return original(graph, sources, *args, **kwargs)
 
-    monkeypatch.setattr(kmeans, "_dijkstra", counting)
+    monkeypatch.setattr(kmeans, "_sweep", counting)
     medoid = _cluster_medoid(g, ids, 0)  # a corner: far from the medoid
-    assert len(runs) < g.vertex_count / 10
+    assert len(evaluated) < g.vertex_count / 10
     monkeypatch.undo()
     rows = np.stack([sssp(g, int(v)).dist for v in ids])
     assert medoid == int(np.argmin(rows.sum(axis=1)))
+
+
+def test_medoid_search_holds_less_than_one_square_buffer():
+    # Two c x c float64 buffers would be 2 * 8 * 1600**2 bytes = 41 MB.
+    g = build_graph(_jittered_rotated_grid(40, 40, np.random.default_rng(4)))
+    c = g.vertex_count
+    tracemalloc.start()
+    try:
+        medoid = _cluster_medoid(g, np.arange(c), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * c * c / 2
+    assert medoid == _cluster_medoid(g, np.arange(c), medoid)  # a medoid is its own medoid
+
+
+@pytest.mark.parametrize("evaluated", [1, 2, 5])
+def test_bounds_in_column_blocks_equal_one_block(monkeypatch, evaluated):
+    rows = np.random.default_rng(evaluated).random((evaluated, 300))
+    cols = np.arange(0, 300, 2)
+    whole = kmeans._lower_bounds(rows, cols)
+    monkeypatch.setattr(kmeans, "_BOUND_BLOCK", 7 * 300)  # a few columns per block
+    assert kmeans._lower_bounds(rows, cols).tobytes() == whole.tobytes()
+    gap = np.abs(rows[:, cols, None] - rows[:, None, :]).max(axis=0)
+    np.testing.assert_allclose(whole, gap.sum(axis=1), rtol=1e-12)
 
 
 def test_comp_centroids_empty_cluster_rejected():

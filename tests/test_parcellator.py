@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosp import (AtlasPlan, KmeansConfig, atlas_mesh, grid_mesh, icosphere_mesh,
+from geosp import (AtlasPlan, Block, KmeansConfig, atlas_mesh, build_graph, cut_graph,
+                   extract_region_subgraph, grid_mesh, icosphere_mesh, parallel_kmeans,
                    parcellate_atlas_mode, parcellate_whole_mode, two_hemispheres_mesh)
 from geosp.parcellator import Parcellation
 from geosp.util import derive_seed
@@ -208,6 +209,62 @@ def test_pipeline_is_a_partition_whatever_the_worker_count(seed, kind, regions, 
             assert other.parcellation.sub_parcel.tobytes() == p.sub_parcel.tobytes()
             assert other.parcellation.provenance == p.provenance
             assert _deterministic_summary(other) == _deterministic_summary(results[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS), st.integers(1, 5),
+       st.booleans(), st.sampled_from(["atlas", "whole"]))
+def test_lockstep_regions_equal_their_runs_alone(seed, kind, regions, scattered, mode):
+    """Every region (atlas) or hemisphere (whole) of one lockstep run equals
+    parallel_kmeans on its own induced subgraph: groups, centroids,
+    iterations, stop reason, fallbacks and energy history. Scattered labels
+    make regions that fall apart into pieces; k runs from 1 to the region
+    size."""
+    rng = np.random.default_rng(seed)
+    mesh = irregular_mesh(kind, rng)
+    n = mesh.vertex_count
+    if mode == "whole":
+        regions = 2
+    if scattered:
+        labels = rng.integers(0, regions, size=n)
+    else:  # bands along x
+        order = np.argsort(mesh.vertices[:, 0], kind="stable")
+        labels = np.empty(n, dtype=np.int64)
+        labels[order] = np.arange(n) * regions // n
+    present, sizes = np.unique(labels, return_counts=True)
+    config = KmeansConfig(k=1, rng_seed=int(rng.integers(1 << 31)))
+    if mode == "atlas":
+        k_of = {int(r): int(rng.choice([1, size, rng.integers(1, min(size, 6) + 1)]))
+                for r, size in zip(present, sizes)}
+        result = parcellate_atlas_mode(mesh, labels, AtlasPlan(k_of), config)
+    else:
+        k = int(rng.choice([1, sizes.min(), rng.integers(1, min(sizes.min(), 6) + 1)]))
+        k_of = {int(r): k for r in present}
+        result = parcellate_whole_mode(mesh, labels, k, config)
+    graph = build_graph(mesh)
+    blocks = [Block(np.flatnonzero(labels == r), k_of[r], derive_seed(config.rng_seed, r))
+              for r in k_of]
+    lockstep = parallel_kmeans(cut_graph(graph, labels), config, blocks).blocks
+
+    p = result.parcellation
+    for block, together, run in zip(blocks, lockstep, result.runs):
+        region = int(labels[block.ids[0]])
+        sub, idmap = extract_region_subgraph(graph, labels, region)
+        alone = parallel_kmeans(sub, KmeansConfig(k=block.k, rng_seed=block.rng_seed))
+        groups = [idmap[g] for g in alone.groups]
+        assert [g.tolist() for g in together.groups] == [g.tolist() for g in groups]
+        assert together.centroids == [int(idmap[c]) for c in alone.centroids]
+        assert together.assignment.tolist() == alone.assignment.tolist()
+        assert together.energy_history == alone.energy_history
+        assert together.last_shift_mm == alone.last_shift_mm
+        for res in (together, run):
+            assert res.iterations == alone.iterations
+            assert res.converged_by_tolerance == alone.converged_by_tolerance
+            assert res.euclidean_fallbacks == alone.euclidean_fallbacks
+        for local, members in enumerate(groups):
+            gid = int(p.sub_parcel[members[0]])
+            assert p.provenance[gid] == (region, local)
+            assert np.flatnonzero(p.sub_parcel == gid).tolist() == members.tolist()
 
 
 # -- whole mode ----------------------------------------------------------------

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosp import (SurfaceGraph, TriangleMesh, build_graph, extract_region_subgraph,
+from geosp import (SurfaceGraph, TriangleMesh, build_graph, cut_graph, extract_region_subgraph,
                    grid_mesh, induced_subgraph, multi_source_sssp, sssp, wave_sheet_mesh)
-from geosp.oracles import oracle_apsp as apsp, oracle_sssp
-from geosp.surface_graph import MIN_EDGE_WEIGHT_MM, _induced_adjacency
+from geosp.oracles import oracle_apsp as apsp, oracle_dijkstra, oracle_sssp
+from geosp.surface_graph import MIN_EDGE_WEIGHT_MM
 from geosp.surface_graph import apsp as dijkstra_apsp
 
 from helpers import (MESH_KINDS, brute_force_triangle_edges, bumpy_grid_graph,
@@ -116,6 +116,23 @@ def test_subgraph_checkerboard_matches_brute_force():
     assert got == expected
 
 
+@pytest.mark.parametrize("kind", MESH_KINDS)
+def test_cut_graph_is_the_graph_of_the_edges_within_labels(kind):
+    rng = np.random.default_rng(len(kind) + 1)
+    g = build_graph(irregular_mesh(kind, rng))
+    labels = rng.integers(0, 3, size=g.vertex_count)
+    eu, ev, ew = g.edges()
+    keep = labels[eu] == labels[ev]
+    expected = SurfaceGraph(g.positions, eu[keep], ev[keep], ew[keep])
+    cut = cut_graph(g, labels)
+    for a, b in zip(cut.edges(), expected.edges()):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(cut.indptr, expected.indptr)
+    np.testing.assert_array_equal(cut.neighbor_indices, expected.neighbor_indices)
+    np.testing.assert_array_equal(cut.neighbor_weights, expected.neighbor_weights)
+    assert cut.positions is g.positions and g.edge_count == len(eu)  # g is left as it was
+
+
 def test_subgraph_absent_region_errors():
     g = bumpy_grid_graph(3)
     with pytest.raises(ValueError, match="region 9"):
@@ -188,6 +205,40 @@ def test_bounded_sssp_is_minimum_with_full_run(seed, kind, n_bound_sources):
 def test_bounded_sssp_rejects_wrong_length():
     with pytest.raises(ValueError, match="bound"):
         sssp(path_graph(3), 0, np.zeros(2))
+
+
+# -- the kernel against the heap Dijkstra ---------------------------------------
+
+
+def _kernel_case(kind, rng):
+    """A graph of one MESH_KINDS kind, or a grid whose weights are 0.5, 1.0 or
+    1.5: many paths then tie exactly and nearest sources are decided by ties."""
+    if kind != "quantised grid":
+        return build_graph(irregular_mesh(kind, rng))
+    eu, ev, _ew = build_graph(grid_mesh(*(int(x) for x in rng.integers(2, 10, size=2)))).edges()
+    weights = 0.5 * rng.integers(1, 4, size=len(eu))
+    return SurfaceGraph(np.zeros((int(ev.max()) + 1, 3)), eu, ev, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS + ["quantised grid"]),
+       st.integers(1, 8))
+def test_kernel_is_bit_exact_against_heap_dijkstra(seed, kind, n_sources):
+    rng = np.random.default_rng(seed)
+    g = _kernel_case(kind, rng)
+    sources = rng.choice(g.vertex_count, size=min(n_sources, g.vertex_count),
+                         replace=False).tolist()
+    dist, pos = oracle_dijkstra(g, sources)
+    nearest = np.where(pos >= 0, np.asarray(sources)[pos], -1)
+    fm = multi_source_sssp(g, sources)
+    assert fm.dist.tobytes() == dist.tobytes()
+    np.testing.assert_array_equal(fm.nearest_source, nearest)  # ties: earliest source
+    assert sssp(g, sources).dist.tobytes() == dist.tobytes()
+    # A bounded run from one more source is the minimum with its full field.
+    source = int(rng.integers(g.vertex_count))
+    full = oracle_dijkstra(g, [source])[0]
+    assert sssp(g, source, dist).dist.tobytes() == np.minimum(dist, full).tobytes()
+    assert sssp(g, source).dist.tobytes() == full.tobytes()
 
 
 # -- multi-source -------------------------------------------------------------
@@ -284,12 +335,6 @@ def test_dijkstra_apsp_rows_are_sssp_and_match_floyd_warshall():
     np.testing.assert_allclose(d, apsp(g), rtol=1e-9, atol=0)
     with pytest.raises(ValueError, match="cap"):
         dijkstra_apsp(g, max_vertices=g.vertex_count - 1)
-
-
-def test_induced_adjacency_matches_induced_subgraph():
-    g = bumpy_grid_graph(10)
-    ids = np.flatnonzero(np.random.default_rng(10).random(g.vertex_count) < 0.6)
-    assert _induced_adjacency(g, ids) == induced_subgraph(g, ids)._adjacency()
 
 
 def test_geodesic_at_least_euclidean():
