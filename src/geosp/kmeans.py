@@ -8,9 +8,9 @@ block then gives every block its own distances, so all blocks advance in
 lockstep: k-means++ step t is one bounded sweep from the t-th centroid of
 every block that still seeds, an assignment is one multi-source sweep, and a
 medoid round is one sweep over the intra-cluster edges from one source per
-still-open cluster. Each block keeps its own k, RNG stream, iteration count
-and stop test, so its result is what it would be alone. A plain graph is
-one block.
+still-open cluster. Each block keeps its own KmeansConfig (k, RNG seed,
+iteration cap, tolerance), iteration count and stop test, so its result is
+what it would be alone. A whole graph is one block of all its vertices.
 
 Seeding prunes by the triangle inequality (Raff, IJCAI 2021): each step's
 sweep is bounded by the nearest-centroid field. Medoids are exact but found
@@ -62,12 +62,15 @@ class KmeansResult:
 
 @dataclass(frozen=True)
 class Block:
-    """One k-means problem inside a larger graph: its sorted vertex ids, its k
-    and its RNG seed. No edge of the graph may join two blocks."""
+    """One k-means problem inside a larger graph: its sorted vertex ids and
+    its configuration. No edge of the graph may join two blocks."""
 
     ids: np.ndarray
-    k: int
-    rng_seed: int
+    config: KmeansConfig
+
+    @property
+    def k(self) -> int:
+        return self.config.k
 
 
 @dataclass
@@ -85,33 +88,25 @@ class LockstepResult:
         return sum(r.euclidean_fallbacks for r in self.blocks)
 
 
-def _whole(graph: SurfaceGraph, k, rng_seed) -> list[Block]:
-    return [Block(np.arange(graph.vertex_count), k, rng_seed)]
-
-
-def kmeanspp_init(graph: SurfaceGraph, k: int | None = None, rng_seed: int = 0,
-                  blocks: list[Block] | None = None):
+def kmeanspp_init(graph: SurfaceGraph, blocks: list[Block]) -> list[list[int]]:
     """k-means++ seeding with geodesic D(x): first centroid uniform, then each
     new centroid drawn with probability proportional to D(x)^2, where D(x) is
     the geodesic distance to the nearest chosen centroid.
 
     Vertices unreachable from every chosen centroid get D(x) = (max finite
-    distance) + 1 mm so they stay selectable. Deterministic given rng_seed.
+    distance) + 1 mm so they stay selectable. Deterministic given each
+    block's rng_seed.
 
-    Without `blocks`, seeds k centroids over the whole graph and returns
-    them. With `blocks`, seeds every block with its own k and seed and
-    returns one centroid list per block; step t is one sssp call from the
-    t-th centroid of every block with k > t. Each step's sweep starts from
-    the current nearest field as its bound (sssp's `bound`), so it visits
-    only the vertices it brings closer and returns exactly the minimum a
-    full run would give.
+    Seeds every block with its own k and seed and returns one centroid list
+    per block; step t is one sssp call from the t-th centroid of every block
+    with k > t. Each step's sweep starts from the current nearest field as
+    its bound (sssp's `bound`), so it visits only the vertices it brings
+    closer and returns exactly the minimum a full run would give.
     """
-    whole = blocks is None
-    blocks = _whole(graph, k, rng_seed) if whole else blocks
     for b in blocks:
-        if not 1 <= b.k <= len(b.ids):
+        if b.k > len(b.ids):
             raise ValueError(f"k={b.k} must be in [1, {len(b.ids)}]")
-    rngs = [np.random.default_rng(b.rng_seed) for b in blocks]
+    rngs = [np.random.default_rng(b.config.rng_seed) for b in blocks]
     centroids = [[int(b.ids[rng.integers(len(b.ids))])] for b, rng in zip(blocks, rngs)]
     nearest = sssp(graph, [c[0] for c in centroids]).dist
     for step in range(1, max(b.k for b in blocks)):
@@ -129,7 +124,7 @@ def kmeanspp_init(graph: SurfaceGraph, k: int | None = None, rng_seed: int = 0,
             chosen.append(int(b.ids[nxt]))
             new.append(chosen[-1])
         nearest = sssp(graph, new, nearest).dist
-    return centroids[0] if whole else centroids
+    return centroids
 
 
 def _assign_blocks(graph: SurfaceGraph, centroids: np.ndarray, id_sets, ks):
@@ -159,14 +154,6 @@ def _assign_blocks(graph: SurfaceGraph, centroids: np.ndarray, id_sets, ks):
     return assignment, fallbacks, field_.dist
 
 
-def _assign(graph: SurfaceGraph, centroids: list[int]):
-    """Nearest-centroid assignment; returns (assignment, fallback count, distances)."""
-    centroids = np.asarray(centroids, dtype=np.int64)
-    assignment, fallbacks, dist = _assign_blocks(graph, centroids, [np.arange(graph.vertex_count)],
-                                                 [len(centroids)])
-    return assignment, fallbacks[0], dist
-
-
 def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, int]:
     """Assign each vertex to the geodesically closest centroid.
 
@@ -174,8 +161,9 @@ def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, 
     every centroid are assigned by smallest Euclidean distance instead; the
     second return value counts them.
     """
-    assignment, fallbacks, _ = _assign(graph, centroids)
-    return assignment, fallbacks
+    assignment, fallbacks, _ = _assign_blocks(graph, np.asarray(centroids, dtype=np.int64),
+                                              [np.arange(graph.vertex_count)], [len(centroids)])
+    return assignment, fallbacks[0]
 
 
 # A candidate is pruned only when its lower bound exceeds the best sum by
@@ -279,7 +267,7 @@ def _medoids(graph: SurfaceGraph, assignment: np.ndarray, clusters: list[np.ndar
             anchors[i] = prev if anchored else int(ids[0])
     unswept = [i for i in anchors if i not in rows]
     if unswept:
-        field_ = _sweep(within, np.array([anchors[i] for i in unswept]))[0]
+        field_ = _sweep(within, np.array([anchors[i] for i in unswept]))
         rows.update((i, field_[clusters[i]]) for i in unswept)
 
     searches: dict[int, _MedoidSearch] = {}
@@ -298,23 +286,9 @@ def _medoids(graph: SurfaceGraph, assignment: np.ndarray, clusters: list[np.ndar
         for i in [i for i, v in sources.items() if v is None]:
             medoids[i] = searches.pop(i).medoid
         if searches:
-            field_ = _sweep(within, np.array([sources[i] for i in searches]))[0]
+            field_ = _sweep(within, np.array([sources[i] for i in searches]))
             rows = {i: field_[search.sel] for i, search in searches.items()}
     return medoids
-
-
-def _cluster_medoid(graph: SurfaceGraph, ids: np.ndarray, previous_centroid: int,
-                    dist: np.ndarray | None = None) -> int:
-    """Exact medoid of one cluster: the member with the smallest distance sum
-    within the cluster-induced subgraph, ties to the smallest vertex index.
-
-    If the subgraph is disconnected, only the component holding the
-    previous centroid counts; without the previous centroid in the cluster
-    that raises ValueError. `dist` is as in comp_centroids.
-    """
-    assignment = np.full(graph.vertex_count, -1, dtype=np.int64)
-    assignment[ids] = 0
-    return _medoids(graph, assignment, [np.asarray(ids)], [int(previous_centroid)], dist)[0]
 
 
 def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
@@ -333,9 +307,10 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
 
     `dist` is optional: the multi-source field that `assignment` came from
     (multi_source_sssp over `centroids`, as parallel_kmeans computes it).
-    In that run a vertex's final source is its parent's, so the path behind
-    dist[v] stays inside v's cluster and dist restricted to a cluster equals
-    the induced-subgraph distances from its centroid bit for bit. With it,
+    In that field a vertex takes the source of one of its tight
+    predecessors (surface_graph._nearest), so the path behind dist[v]
+    stays inside v's cluster and dist restricted to a cluster equals the
+    induced-subgraph distances from its centroid bit for bit. With it,
     each cluster that holds its previous centroid takes that row from dist;
     without it, or for a cluster that lacks its previous centroid, the row
     is computed.
@@ -368,26 +343,20 @@ def stop_criterion(old_centroids: list[int], new_centroids: list[int],
     return iteration >= config.max_iterations
 
 
-def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
-                    blocks: list[Block] | None = None):
+def parallel_kmeans(graph: SurfaceGraph, blocks: list[Block]) -> LockstepResult:
     """Full clustering loop: seed, then alternate assignment and medoid updates
     until centroids move less than the tolerance or the iteration cap hits.
 
-    Without `blocks`, clusters the whole graph with config.k and
-    config.rng_seed and returns a KmeansResult. With `blocks`, clusters
-    every block with its own k and seed, all in lockstep (see the module
-    docstring), and returns a LockstepResult; config then supplies only the
-    iteration cap and the tolerance. A block drops out of the lockstep when
-    its own stop test holds, so its result equals that of a run on its
-    induced subgraph alone.
+    Clusters every block with its own KmeansConfig, all in lockstep (see the
+    module docstring), and returns one KmeansResult per block. A block drops
+    out of the lockstep when its own stop test holds, so its result equals
+    that of a run on its induced subgraph alone.
 
     k=1 short-circuits to a single group holding every vertex. The returned
     groups always partition each block and are identical across reruns with
     the same inputs. Each medoid update reuses the assignment's distance
     field (see comp_centroids).
     """
-    whole = blocks is None
-    blocks = _whole(graph, config.k, config.rng_seed) if whole else blocks
     for b in blocks:
         if b.k > len(b.ids):
             raise ValueError(f"k={b.k} exceeds vertex count {len(b.ids)}")
@@ -400,13 +369,13 @@ def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
                                       centroids=[], iterations=0, converged_by_tolerance=False,
                                       last_shift_mm=0.0, euclidean_fallbacks=0)
     active = [i for i, r in enumerate(results) if r is None]
-    centroids = (dict(zip(active, kmeanspp_init(graph, blocks=[blocks[i] for i in active])))
+    centroids = (dict(zip(active, kmeanspp_init(graph, [blocks[i] for i in active])))
                  if active else {})
     energy = {i: [] for i in active}
     fallbacks_total = dict.fromkeys(active, 0)
-    for iteration in range(1, config.max_iterations + 1):
-        if not active:
-            break
+    iteration = 0
+    while active:
+        iteration += 1
         flat = np.array([c for i in active for c in centroids[i]], dtype=np.int64)
         ks = [blocks[i].k for i in active]
         assignment, fallbacks, dist = _assign_blocks(graph, flat, [blocks[i].ids for i in active],
@@ -417,7 +386,7 @@ def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
         new_flat = comp_centroids(graph, assignment, flat.tolist(), dist)
         still, start = [], 0
         for i, k, fallback in zip(active, ks, fallbacks):
-            ids = blocks[i].ids
+            ids, config = blocks[i].ids, blocks[i].config
             fallbacks_total[i] += fallback
             d = dist[ids]
             energy[i].append(float(d[np.isfinite(d)].sum()))
@@ -437,4 +406,4 @@ def parallel_kmeans(graph: SurfaceGraph, config: KmeansConfig,
                 still.append(i)
             start += k
         active = still
-    return results[0] if whole else LockstepResult(results)
+    return LockstepResult(results)

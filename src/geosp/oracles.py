@@ -18,21 +18,19 @@ from .surface_graph import (APSP_VERTEX_CAP, DistanceField, SurfaceGraph, UNREAC
                             induced_subgraph)
 
 
-def oracle_dijkstra(graph: SurfaceGraph, sources, bound=None) -> tuple[np.ndarray, np.ndarray]:
+def oracle_dijkstra(graph: SurfaceGraph, sources) -> tuple[np.ndarray, np.ndarray]:
     """Heap Dijkstra from one or more sources.
 
     Returns per-vertex (dist, pos): the minimum distance over the sources and
     the position in `sources` of the source achieving it (-1 where
-    unreachable); exact distance ties go to the earlier position. `bound`, a
-    per-vertex array, starts dist there instead of at UNREACHABLE; a vertex
-    keeps pos -1 unless some source improves on its bound strictly.
+    unreachable); exact distance ties go to the earlier position.
     """
     ends = graph.indptr.tolist()
     nbrs, wts = graph.neighbor_indices.tolist(), graph.neighbor_weights.tolist()
     adjacency = [(nbrs[a:b], wts[a:b]) for a, b in zip(ends[:-1], ends[1:])]
     n = graph.vertex_count
     src = [int(s) for s in sources]
-    dist = [UNREACHABLE] * n if bound is None else [float(b) for b in bound]
+    dist = [UNREACHABLE] * n
     pos = [-1] * n
     heap = []
     for p, s in enumerate(src):

@@ -12,7 +12,7 @@ count, task order, or which other regions are in the plan.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,9 +125,10 @@ def _run_tasks(graph, labels, tasks, config):
     the edges between labels cut. Each is a pure function of (graph, labels,
     task, config): no block's result depends on the others.
     """
-    blocks = [Block(np.flatnonzero(labels == region), k, derive_seed(config.rng_seed, region))
+    blocks = [Block(np.flatnonzero(labels == region),
+                    replace(config, k=k, rng_seed=derive_seed(config.rng_seed, region)))
               for region, k in tasks]
-    result = parallel_kmeans(cut_graph(graph, labels), config, blocks)
+    result = parallel_kmeans(cut_graph(graph, labels), blocks)
     return [(res.groups, RegionRun(region=region, k=k, vertex_count=len(b.ids),
                                    iterations=res.iterations,
                                    converged_by_tolerance=res.converged_by_tolerance,

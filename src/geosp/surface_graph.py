@@ -4,10 +4,12 @@ Every shortest path comes from one kernel, `_sweep`: label-correcting
 relaxation in numpy rounds over the graph's CSR arrays, each round relaxing
 only the out-edges of the vertices that changed in the round before. Its
 fixpoint is the heap Dijkstra's result bit for bit (oracles.oracle_dijkstra
-is that reference). One sweep from many sources costs about as much as one
-from a single source, so callers batch: `cut_graph` removes the edges
-between labels, after which one sweep with one source per label gives every
-label its own distances (kmeans runs every region and cluster this way).
+is that reference). Nearest sources come after the distances, from one pass
+of the same rounds over the tight edges (`_nearest`). One sweep from many
+sources costs about as much as one from a single source, so callers batch:
+`cut_graph` removes the edges between labels, after which one sweep with one
+source per label gives every label its own distances (kmeans runs every
+region and cluster this way).
 
 The graph's edges are exactly the unique triangle edges of the mesh, weighted
 by the Euclidean distance between their endpoints, so shortest paths measure
@@ -178,66 +180,79 @@ def _check_sources(graph: SurfaceGraph, sources) -> np.ndarray:
     return src
 
 
-def _sweep(graph: SurfaceGraph, sources: np.ndarray, bound=None,
-           with_pos: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Shortest paths from several sources at once, the one shortest-path kernel.
+def _out_edges(graph: SurfaceGraph, frontier: np.ndarray):
+    """(counts, v, w) for the out-edges u -> v of the vertices in `frontier`:
+    counts[i] edges of frontier[i], in frontier order."""
+    starts = graph.indptr[frontier]
+    counts = graph.indptr[frontier + 1] - starts
+    ends = np.cumsum(counts)
+    slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    return counts, graph.neighbor_indices[slots], graph.neighbor_weights[slots]
+
+
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """The values of `v` once each, ascending; sorts v in place."""
+    v.sort()
+    first = np.ones(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    return v[first]
+
+
+def _sweep(graph: SurfaceGraph, sources: np.ndarray, bound=None) -> np.ndarray:
+    """Shortest-path distances from several sources at once, the one
+    shortest-path kernel: per vertex, the minimum distance over the sources.
 
     Label correcting in rounds: each round relaxes the out-edges of the
-    vertices whose distance, or tie position, dropped in the round before,
-    so a round costs the frontier's edges, never the whole graph. It stops
-    at the fixpoint dist[v] = min over edges (u, v) of fl(dist[u] + w).
-    Float addition is monotone, and fl(d + w) > d whenever w is above the
-    rounding step of d (MIN_EDGE_WEIGHT_MM is, for every distance below
-    10**6 mm), so that fixpoint is unique: it is what a heap Dijkstra
-    returns, bit for bit.
-
-    Returns per-vertex (dist, pos): the minimum distance over the sources,
-    and with `with_pos` the position in `sources` of the source achieving it
-    (-1 where unreachable; exact ties go to the smaller position, which is
-    the minimum over the tight predecessors). Sources are not checked here.
+    vertices whose distance dropped in the round before, so a round costs
+    the frontier's edges, never the whole graph. It stops at the fixpoint
+    dist[v] = min over edges (u, v) of fl(dist[u] + w). Float addition is
+    monotone, and fl(d + w) > d whenever w is above the rounding step of d
+    (MIN_EDGE_WEIGHT_MM is, for every distance below 10**6 mm), so that
+    fixpoint is unique: it is what a heap Dijkstra returns, bit for bit.
+    Sources are not checked here.
 
     `bound`, per-vertex distances, starts dist there instead of at
     UNREACHABLE: the result is np.minimum(bound, field) whenever bound[v] <=
     bound[u] + w on every edge, and only vertices that drop below their
-    bound are visited. A tie with a bound does not change pos.
+    bound are visited.
     """
-    indptr, nbrs, wts = graph.indptr, graph.neighbor_indices, graph.neighbor_weights
     dist = (np.full(graph.vertex_count, UNREACHABLE) if bound is None
             else np.array(bound, dtype=np.float64))
     dist[sources] = 0.0
-    pos = None
-    if with_pos:
-        pos = np.full(graph.vertex_count, -1, dtype=np.int64)
-        pos[sources] = np.arange(len(sources))
     frontier = sources
     while len(frontier):
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        ends = np.cumsum(counts)
-        slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-        v = nbrs[slots]
-        nd = np.repeat(dist[frontier], counts) + wts[slots]
-        old = dist[v]
-        if pos is None:
-            better = nd < old
-            v, nd = v[better], nd[better]
-            np.minimum.at(dist, v, nd)
-        else:
-            p = np.repeat(pos[frontier], counts)
-            better = (nd < old) | ((nd == old) & (p < pos[v]))
-            v, nd, p, old = v[better], nd[better], p[better], old[better]
-            np.minimum.at(dist, v, nd)
-            # The candidates that reach the new distance decide pos; a vertex
-            # whose distance dropped first forgets its old position.
-            tight = nd == dist[v]
-            v, p = v[tight], p[tight]
-            pos[v[nd[tight] < old[tight]]] = np.iinfo(np.int64).max
-            np.minimum.at(pos, v, p)
-        v.sort()  # the next frontier holds each changed vertex once
-        first = np.ones(len(v), dtype=bool)
-        np.not_equal(v[1:], v[:-1], out=first[1:])
-        frontier = v[first]
-    return dist, pos
+        counts, v, w = _out_edges(graph, frontier)
+        nd = np.repeat(dist[frontier], counts) + w
+        better = nd < dist[v]
+        v = v[better]
+        np.minimum.at(dist, v, nd[better])
+        frontier = _distinct(v)
+    return dist
+
+
+def _nearest(graph: SurfaceGraph, sources: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Per vertex, the position in `sources` of its nearest source under the
+    final field `dist` (_sweep from `sources`), -1 where unreachable.
+
+    Exact ties go to the smaller position, as in a heap Dijkstra: a vertex
+    takes the smallest position among its tight predecessors, the u with
+    fl(dist[u] + w) == dist[v]. Tight edges strictly raise the distance, so
+    they form a DAG and this minimum, propagated from the sources in rounds
+    like _sweep's, has one fixpoint. Positions must follow the final
+    distances: a vertex can tie through an edge at one distance and keep a
+    smaller position than its predecessor's once that distance drops.
+    """
+    pos = np.where(np.isfinite(dist), np.iinfo(np.int64).max, -1)
+    pos[sources] = np.arange(len(sources))
+    frontier = sources
+    while len(frontier):
+        counts, v, w = _out_edges(graph, frontier)
+        p = np.repeat(pos[frontier], counts)
+        better = (np.repeat(dist[frontier], counts) + w == dist[v]) & (p < pos[v])
+        v = v[better]
+        np.minimum.at(pos, v, p[better])
+        frontier = _distinct(v)
+    return pos
 
 
 def sssp(graph: SurfaceGraph, source, bound=None) -> DistanceField:
@@ -262,8 +277,7 @@ def sssp(graph: SurfaceGraph, source, bound=None) -> DistanceField:
         bound = np.asarray(bound, dtype=np.float64)
         if len(bound) != graph.vertex_count:
             raise ValueError(f"bound has {len(bound)} entries for {graph.vertex_count} vertices")
-    dist, _pos = _sweep(graph, src, bound)
-    return DistanceField(tuple(src.tolist()), dist)
+    return DistanceField(tuple(src.tolist()), _sweep(graph, src, bound))
 
 
 def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
@@ -273,7 +287,8 @@ def multi_source_sssp(graph: SurfaceGraph, sources) -> DistanceField:
     the source earliest in the `sources` list.
     """
     src = _check_sources(graph, sources)
-    dist, pos = _sweep(graph, src, with_pos=True)
+    dist = _sweep(graph, src)
+    pos = _nearest(graph, src, dist)
     nearest = np.where(pos >= 0, src[pos], -1)
     return DistanceField(tuple(src.tolist()), dist, nearest)
 
@@ -289,4 +304,4 @@ def apsp(graph: SurfaceGraph, max_vertices: int = APSP_VERTEX_CAP) -> np.ndarray
     n = graph.vertex_count
     if n > max_vertices:
         raise ValueError(f"graph has {n} vertices, above the APSP cap of {max_vertices}")
-    return np.array([_sweep(graph, np.array([s]))[0] for s in range(n)]).reshape(n, n)
+    return np.array([_sweep(graph, np.array([s])) for s in range(n)]).reshape(n, n)

@@ -1,8 +1,9 @@
 """Shared test fixtures: tiny hand-built graphs and randomized bumpy surfaces."""
 import numpy as np
 
-from geosp import (SurfaceGraph, TriangleMesh, build_graph, concat_meshes, grid_mesh,
-                   icosphere_mesh, wave_sheet_mesh)
+from geosp import (Block, KmeansConfig, SurfaceGraph, TriangleMesh, build_graph, comp_centroids,
+                   concat_meshes, grid_mesh, icosphere_mesh, kmeanspp_init, parallel_kmeans,
+                   wave_sheet_mesh)
 
 
 def path_graph(n: int, spacing: float = 1.0) -> SurfaceGraph:
@@ -76,3 +77,21 @@ def irregular_mesh(kind: str, rng: np.random.Generator) -> TriangleMesh:
         extra = rng.normal(scale=20, size=(int(rng.integers(1, 4)), 3))
         return TriangleMesh(np.vstack([mesh.vertices, extra]), mesh.triangles)
     return mesh
+
+
+def kmeans_alone(graph: SurfaceGraph, config: KmeansConfig):
+    """parallel_kmeans on the whole graph as one block; its KmeansResult."""
+    return parallel_kmeans(graph, [Block(np.arange(graph.vertex_count), config)]).blocks[0]
+
+
+def seeds_alone(graph: SurfaceGraph, k: int, rng_seed: int = 0) -> list[int]:
+    """kmeanspp_init on the whole graph as one block."""
+    block = Block(np.arange(graph.vertex_count), KmeansConfig(k=k, rng_seed=rng_seed))
+    return kmeanspp_init(graph, [block])[0]
+
+
+def cluster_medoid(graph: SurfaceGraph, ids, previous_centroid: int, dist=None) -> int:
+    """comp_centroids for the one cluster `ids`; every other vertex is in none."""
+    assignment = np.full(graph.vertex_count, -1, dtype=np.int64)
+    assignment[ids] = 0
+    return comp_centroids(graph, assignment, [int(previous_centroid)], dist)[0]

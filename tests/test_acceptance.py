@@ -8,13 +8,13 @@ import numpy as np
 
 from geosp import (AtlasPlan, KmeansConfig, atlas_mesh, binarize, bridge_graph,
                    build_connectivity_matrix, build_graph, calc_groups,
-                   comp_centroids, dice_coefficient, grid_mesh, kmeanspp_init,
-                   pairwise_dice, parallel_kmeans, parcellate_atlas_mode,
+                   comp_centroids, dice_coefficient, grid_mesh,
+                   pairwise_dice, parcellate_atlas_mode,
                    parcellate_whole_mode, sssp, wave_sheet_mesh)
 from geosp.cli import run
 from geosp.oracles import oracle_apsp as apsp, oracle_medoid, oracle_sssp
 
-from helpers import bumpy_grid_graph
+from helpers import bumpy_grid_graph, kmeans_alone
 
 # Geodesic/Euclidean ratio between adjacent crests of the A=5mm, lambda=10mm
 # wave sheet, computed once with the edge-relaxation oracle and frozen here.
@@ -85,7 +85,7 @@ def test_criterion_4_bridge_fixed_point():
         g = bridge_graph()
         expected = [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
         for seed in range(100):
-            res = parallel_kmeans(g, KmeansConfig(k=2, rng_seed=seed))
+            res = kmeans_alone(g, KmeansConfig(k=2, rng_seed=seed))
             groups = sorted((frozenset(grp.tolist()) for grp in res.groups), key=min)
             assert groups == expected, f"seed {seed}: {groups}"
 
@@ -96,7 +96,7 @@ def test_criterion_5_termination_and_convergence():
         for seed in range(1000):
             g = graphs[seed % len(graphs)]
             config = KmeansConfig(k=2 + seed % 4, rng_seed=seed)
-            res = parallel_kmeans(g, config)
+            res = kmeans_alone(g, config)
             assert res.iterations <= 20
             if res.converged_by_tolerance:
                 assert res.last_shift_mm < 2.0

@@ -7,15 +7,15 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from geosp import (KmeansConfig, TriangleMesh, bridge_graph, build_graph, calc_groups,
-                   comp_centroids, dumbbell_mesh, grid_mesh, icosphere_mesh, kmeanspp_init,
-                   multi_source_sssp, parallel_kmeans, perturb_weights, sssp, stop_criterion,
-                   wave_sheet_mesh)
+                   comp_centroids, dumbbell_mesh, grid_mesh, icosphere_mesh, multi_source_sssp,
+                   perturb_weights, sssp, stop_criterion, wave_sheet_mesh)
 from geosp import kmeans
-from geosp.kmeans import _assign, _cluster_medoid, max_centroid_shift_mm
+from geosp.kmeans import max_centroid_shift_mm
 from geosp.oracles import oracle_medoid, oracle_sssp
 from geosp.surface_graph import SurfaceGraph, induced_subgraph
 
-from helpers import MESH_KINDS, bumpy_grid_graph, irregular_mesh, path_graph
+from helpers import (MESH_KINDS, bumpy_grid_graph, cluster_medoid, irregular_mesh, kmeans_alone,
+                     path_graph, seeds_alone)
 
 DUMBBELL_PATCH = 16  # vertices per blob of the default dumbbell
 
@@ -34,21 +34,21 @@ def test_config_validation():
 
 def test_kmeanspp_single_centroid_reproducible():
     g = bumpy_grid_graph(0)
-    c1 = kmeanspp_init(g, 1, rng_seed=123)
-    c2 = kmeanspp_init(g, 1, rng_seed=123)
+    c1 = seeds_alone(g, 1, rng_seed=123)
+    c2 = seeds_alone(g, 1, rng_seed=123)
     assert c1 == c2
     assert len(c1) == 1
 
 
 def test_kmeanspp_k_equals_vertex_count():
     g = path_graph(6)
-    centroids = kmeanspp_init(g, 6, rng_seed=0)
+    centroids = seeds_alone(g, 6, rng_seed=0)
     assert sorted(centroids) == list(range(6))
 
 
 def test_kmeanspp_k_too_large():
     with pytest.raises(ValueError):
-        kmeanspp_init(path_graph(3), 4, rng_seed=0)
+        seeds_alone(path_graph(3), 4, rng_seed=0)
 
 
 def test_kmeanspp_second_pick_follows_squared_distances():
@@ -59,7 +59,7 @@ def test_kmeanspp_second_pick_follows_squared_distances():
     firsts = np.zeros(6)
     n_trials = 4000
     for seed in range(n_trials):
-        c = kmeanspp_init(g, 2, rng_seed=seed)
+        c = seeds_alone(g, 2, rng_seed=seed)
         firsts[c[0]] += 1
         tallies[c[1]] += 1
     # aggregate expected distribution over observed first picks
@@ -74,7 +74,7 @@ def test_kmeanspp_second_pick_follows_squared_distances():
 def test_kmeanspp_dumbbell_splits_blobs():
     g = build_graph(dumbbell_mesh())
     hits = sum((c[0] < DUMBBELL_PATCH) != (c[1] < DUMBBELL_PATCH)
-               for c in (kmeanspp_init(g, 2, seed) for seed in range(1000)))
+               for c in (seeds_alone(g, 2, seed) for seed in range(1000)))
     assert hits >= 950
 
 
@@ -83,7 +83,7 @@ def test_kmeanspp_unreachable_vertices_stay_selectable():
     pos[:, 0] = [0, 1, 10, 11]
     g = SurfaceGraph(pos, [0, 2], [1, 3], [1.0, 1.0])  # two components
     for seed in range(20):
-        centroids = kmeanspp_init(g, 3, rng_seed=seed)
+        centroids = seeds_alone(g, 3, rng_seed=seed)
         assert len(set(centroids)) == 3
 
 
@@ -111,7 +111,7 @@ def test_bounded_seeding_equals_full_dijkstra_seeding(seed, kind, k):
     rng = np.random.default_rng(seed)
     g = build_graph(irregular_mesh(kind, rng))
     k = min(k, g.vertex_count)
-    assert kmeanspp_init(g, k, seed) == _full_dijkstra_seeding(g, k, seed)
+    assert seeds_alone(g, k, seed) == _full_dijkstra_seeding(g, k, seed)
 
 
 # -- group assignment ----------------------------------------------------------
@@ -244,7 +244,7 @@ def _medoid_case(kind, rng):
                         "unjittered grid", "symmetric path", "far previous centroid"]))
 def test_pruned_medoid_equals_oracle(seed, kind):
     g, ids, previous = _medoid_case(kind, np.random.default_rng(seed))
-    assert _cluster_medoid(g, ids, previous) == oracle_medoid(g, ids, previous_centroid=previous)
+    assert cluster_medoid(g, ids, previous) == oracle_medoid(g, ids, previous_centroid=previous)
 
 
 def _assigned_case(kind, rng):
@@ -264,7 +264,8 @@ def _assigned_case(kind, rng):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS))
 def test_medoid_from_assignment_field_equals_oracle(seed, kind):
     g, centroids = _assigned_case(kind, np.random.default_rng(seed))
-    assignment, fallbacks, dist = _assign(g, centroids)
+    assignment, fallbacks = calc_groups(g, centroids)
+    dist = multi_source_sssp(g, centroids).dist
     if kind in ("two components", "isolated vertices"):
         assert fallbacks > 0
     for i, c in enumerate(centroids):
@@ -272,7 +273,7 @@ def test_medoid_from_assignment_field_equals_oracle(seed, kind):
         # The field restricted to a cluster is the induced-subgraph row, bit for bit.
         row = sssp(induced_subgraph(g, ids), int(np.searchsorted(ids, c))).dist
         assert dist[ids].tobytes() == row.tobytes()
-        assert _cluster_medoid(g, ids, c, dist) == oracle_medoid(g, ids, previous_centroid=c)
+        assert cluster_medoid(g, ids, c, dist) == oracle_medoid(g, ids, previous_centroid=c)
     assert comp_centroids(g, assignment, centroids, dist) == comp_centroids(g, assignment,
                                                                             centroids)
 
@@ -282,25 +283,25 @@ def test_field_is_ignored_for_a_cluster_without_its_previous_centroid():
     ids = np.flatnonzero(np.arange(g.vertex_count) % 9 >= 3)  # columns 3..8
     for previous in (0, 19, 65):  # in column 0, 1 or 2: outside the cluster
         dist = sssp(g, previous).dist
-        assert _cluster_medoid(g, ids, previous, dist) == oracle_medoid(g, ids)
+        assert cluster_medoid(g, ids, previous, dist) == oracle_medoid(g, ids)
     g = path_graph(5)
     with pytest.raises(ValueError, match="disconnected"):
-        _cluster_medoid(g, np.array([0, 1, 3, 4]), 2, sssp(g, 2).dist)
+        cluster_medoid(g, np.array([0, 1, 3, 4]), 2, sssp(g, 2).dist)
 
 
 def test_medoid_ties_go_to_smallest_index():
     # Even path: the two middle vertices tie exactly. 4 x 4 grid: vertices 5
     # and 10 map onto each other under a half turn, so their sums tie.
-    assert _cluster_medoid(path_graph(6), np.arange(6), 5) == 2
+    assert cluster_medoid(path_graph(6), np.arange(6), 5) == 2
     g = build_graph(grid_mesh(4, 4))
-    assert _cluster_medoid(g, np.arange(16), 15) == oracle_medoid(g, np.arange(16)) == 5
+    assert cluster_medoid(g, np.arange(16), 15) == oracle_medoid(g, np.arange(16)) == 5
 
 
 def test_disconnected_cluster_without_previous_centroid_raises():
     g = path_graph(5)
     with pytest.raises(ValueError, match="disconnected"):
-        _cluster_medoid(g, np.array([0, 1, 3, 4]), 2)
-    assert _cluster_medoid(g, np.array([0, 1, 2]), 4) == 1  # connected: no anchor needed
+        cluster_medoid(g, np.array([0, 1, 3, 4]), 2)
+    assert cluster_medoid(g, np.array([0, 1, 2]), 4) == 1  # connected: no anchor needed
 
 
 def test_medoid_search_prunes_most_candidates(monkeypatch):
@@ -315,7 +316,7 @@ def test_medoid_search_prunes_most_candidates(monkeypatch):
         return original(graph, sources, *args, **kwargs)
 
     monkeypatch.setattr(kmeans, "_sweep", counting)
-    medoid = _cluster_medoid(g, ids, 0)  # a corner: far from the medoid
+    medoid = cluster_medoid(g, ids, 0)  # a corner: far from the medoid
     assert len(evaluated) < g.vertex_count / 10
     monkeypatch.undo()
     rows = np.stack([sssp(g, int(v)).dist for v in ids])
@@ -328,12 +329,12 @@ def test_medoid_search_holds_less_than_one_square_buffer():
     c = g.vertex_count
     tracemalloc.start()
     try:
-        medoid = _cluster_medoid(g, np.arange(c), 0)
+        medoid = cluster_medoid(g, np.arange(c), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * c * c / 2
-    assert medoid == _cluster_medoid(g, np.arange(c), medoid)  # a medoid is its own medoid
+    assert medoid == cluster_medoid(g, np.arange(c), medoid)  # a medoid is its own medoid
 
 
 @pytest.mark.parametrize("evaluated", [1, 2, 5])
@@ -375,14 +376,14 @@ def test_max_centroid_shift():
 
 def test_parallel_kmeans_k1_single_group():
     g = bumpy_grid_graph(3)
-    res = parallel_kmeans(g, KmeansConfig(k=1, rng_seed=9))
+    res = kmeans_alone(g, KmeansConfig(k=1, rng_seed=9))
     assert len(res.groups) == 1
     assert res.groups[0].tolist() == list(range(g.vertex_count))
 
 
 def test_parallel_kmeans_k_too_large():
     with pytest.raises(ValueError):
-        parallel_kmeans(path_graph(3), KmeansConfig(k=4))
+        kmeans_alone(path_graph(3), KmeansConfig(k=4))
 
 
 def test_bridge_partition_from_any_centroid_pair():
@@ -407,7 +408,7 @@ def test_bridge_partition_from_any_centroid_pair():
 def test_bridge_partition_over_seeds():
     g = bridge_graph()
     for seed in range(25):
-        res = parallel_kmeans(g, KmeansConfig(k=2, rng_seed=seed))
+        res = kmeans_alone(g, KmeansConfig(k=2, rng_seed=seed))
         groups = sorted((frozenset(grp.tolist()) for grp in res.groups), key=min)
         assert groups == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
 
@@ -415,8 +416,8 @@ def test_bridge_partition_over_seeds():
 def test_parallel_kmeans_deterministic():
     g = bumpy_grid_graph(11, min_side=22, max_side=22)  # ~500 vertices
     config = KmeansConfig(k=5, rng_seed=21)
-    a = parallel_kmeans(g, config)
-    b = parallel_kmeans(g, config)
+    a = kmeans_alone(g, config)
+    b = kmeans_alone(g, config)
     for x, y in zip(a.groups, b.groups):
         assert np.array_equal(x, y)
     assert a.centroids == b.centroids
@@ -426,7 +427,7 @@ def test_parallel_kmeans_deterministic():
 @given(st.integers(0, 100_000), st.integers(2, 6))
 def test_groups_partition_vertices(seed, k):
     g = bumpy_grid_graph(seed % 64 + 30, min_side=6, max_side=9)
-    res = parallel_kmeans(g, KmeansConfig(k=k, rng_seed=seed))
+    res = kmeans_alone(g, KmeansConfig(k=k, rng_seed=seed))
     allv = np.concatenate(res.groups)
     assert len(allv) == g.vertex_count
     assert len(np.unique(allv)) == g.vertex_count
@@ -437,7 +438,7 @@ def test_groups_partition_vertices(seed, k):
 
 def test_assignment_optimality_after_calc_groups():
     g = bumpy_grid_graph(40, min_side=10, max_side=12)
-    centroids = kmeanspp_init(g, 6, rng_seed=2)
+    centroids = seeds_alone(g, 6, rng_seed=2)
     assignment, _ = calc_groups(g, centroids)
     field = multi_source_sssp(g, centroids)
     stacked = np.stack([sssp(g, c).dist for c in centroids])
@@ -448,7 +449,7 @@ def test_assignment_optimality_after_calc_groups():
 
 def test_medoid_optimality_within_component():
     g = bumpy_grid_graph(41, min_side=8, max_side=8)
-    centroids = kmeanspp_init(g, 4, rng_seed=3)
+    centroids = seeds_alone(g, 4, rng_seed=3)
     assignment, _ = calc_groups(g, centroids)
     medoids = comp_centroids(g, assignment, centroids)
     for cluster_id, medoid in enumerate(medoids):
@@ -464,7 +465,7 @@ def test_groups_connected_under_perturbed_weights():
     for seed in range(5):
         g = perturb_weights(bumpy_grid_graph(seed + 60, min_side=8, max_side=10),
                             rng_seed=seed)
-        res = parallel_kmeans(g, KmeansConfig(k=4, rng_seed=seed))
+        res = kmeans_alone(g, KmeansConfig(k=4, rng_seed=seed))
         for grp in res.groups:
             members = set(grp.tolist())
             frontier = {int(grp[0])}
@@ -483,6 +484,6 @@ def test_groups_connected_under_perturbed_weights():
 
 def test_energy_history_recorded():
     g = bumpy_grid_graph(70)
-    res = parallel_kmeans(g, KmeansConfig(k=3, rng_seed=1))
+    res = kmeans_alone(g, KmeansConfig(k=3, rng_seed=1))
     assert len(res.energy_history) == res.iterations
     assert all(e >= 0 for e in res.energy_history)

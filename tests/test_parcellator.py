@@ -14,7 +14,7 @@ from geosp import (AtlasPlan, Block, KmeansConfig, atlas_mesh, build_graph, cut_
 from geosp.parcellator import Parcellation
 from geosp.util import derive_seed
 
-from helpers import MESH_KINDS, irregular_mesh
+from helpers import MESH_KINDS, irregular_mesh, kmeans_alone
 
 
 @pytest.fixture(scope="module")
@@ -242,15 +242,16 @@ def test_lockstep_regions_equal_their_runs_alone(seed, kind, regions, scattered,
         k_of = {int(r): k for r in present}
         result = parcellate_whole_mode(mesh, labels, k, config)
     graph = build_graph(mesh)
-    blocks = [Block(np.flatnonzero(labels == r), k_of[r], derive_seed(config.rng_seed, r))
+    blocks = [Block(np.flatnonzero(labels == r),
+                    KmeansConfig(k=k_of[r], rng_seed=derive_seed(config.rng_seed, r)))
               for r in k_of]
-    lockstep = parallel_kmeans(cut_graph(graph, labels), config, blocks).blocks
+    lockstep = parallel_kmeans(cut_graph(graph, labels), blocks).blocks
 
     p = result.parcellation
     for block, together, run in zip(blocks, lockstep, result.runs):
         region = int(labels[block.ids[0]])
         sub, idmap = extract_region_subgraph(graph, labels, region)
-        alone = parallel_kmeans(sub, KmeansConfig(k=block.k, rng_seed=block.rng_seed))
+        alone = kmeans_alone(sub, block.config)
         groups = [idmap[g] for g in alone.groups]
         assert [g.tolist() for g in together.groups] == [g.tolist() for g in groups]
         assert together.centroids == [int(idmap[c]) for c in alone.centroids]
