@@ -15,9 +15,14 @@ what it would be alone. A whole graph is one block of all its vertices.
 Seeding prunes by the triangle inequality (Raff, IJCAI 2021): each step's
 sweep is bounded by the nearest-centroid field. Medoids are exact but found
 from the distance rows of a few members, the rest pruned by
-triangle-inequality lower bounds (Newling & Fleuret, AISTATS 2017). All
-tie-breaking is by smallest index (centroid list position for assignment,
-vertex index for medoids), which makes runs bit-reproducible.
+triangle-inequality lower bounds (Newling & Fleuret, AISTATS 2017). The
+first three rows of every cluster are handled in one batched pass: with the
+clusters laid out side by side, the one- and two-row bounds of every member
+have closed forms, sum_j |a_j - a_x| from a row-wise sort and prefix sums,
+and sum_j max(|da|, |db|) = (sum_j |d(a+b)| + sum_j |d(a-b)|) / 2. After
+that each open cluster goes on alone, rebuilding its bounds from its rows.
+All tie-breaking is by smallest index (centroid list position for
+assignment, vertex index for medoids), which makes runs bit-reproducible.
 """
 from __future__ import annotations
 
@@ -168,15 +173,20 @@ def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, 
 
 # A candidate is pruned only when its lower bound exceeds the best sum by
 # more than this share of 2*c*ecc, the largest sum any member can have (c
-# members, every distance at most twice the anchor's eccentricity ecc).
-# Rounding in a distance or a sum grows like (edges on a path) * 2**-53 of
-# that scale, far below 1e-9 on any mesh, so an exact or ULP-close tie is
-# always evaluated.
+# members, every distance at most twice the anchor's eccentricity ecc): a
+# computed bound may err upwards by up to 2e-9*c*ecc. Rounding in a
+# distance grows like (edges on a path) * u of it (u = 2**-53), and the
+# pairwise sums of c gaps in _lower_bounds err by about log2(c) * u * 2*c*ecc.
+# The prefix-sum bounds of _abs_sums err most: they add c values of up to
+# 4*ecc (a + b of two rows) one after another and then subtract such
+# prefix sums, about 16*c**2*u*ecc in all. That stays below the pad up to
+# about 10**6 members per cluster; within that limit an exact or ULP-close
+# tie is always evaluated.
 _PRUNE_PAD = 1e-9
 
 # float64 elements of the r x columns x c difference block in _lower_bounds
-# (2 MB). The first update (r = 1) needs no second buffer, so it takes four
-# times as many (8 MB): one block up to c = 1024 members.
+# (2 MB). A group of the row-wise sorts in _abs_sums pads to at most an
+# eighth of that, as it holds about eight arrays of its size at once.
 _BOUND_BLOCK = 1 << 18
 
 
@@ -185,44 +195,120 @@ def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     evaluated rows s of |d(s,j) - d(s,x)|, which is at most d(x,j) by the
     triangle inequality, so at most x's distance sum.
 
-    Built in blocks of columns, so it holds at most 4 * _BOUND_BLOCK floats
-    at once, whatever the cluster size.
+    Built in blocks of columns, so it holds at most about 2 * _BOUND_BLOCK
+    floats at once, whatever the cluster size.
     """
     r, c = rows.shape
-    step = max(1, (_BOUND_BLOCK if r > 1 else 4 * _BOUND_BLOCK) // (r * c))
+    step = max(1, _BOUND_BLOCK // (r * c))
     lower = np.empty(len(cols))
     for a in range(0, len(cols), step):
         gap = rows[:, cols[a:a + step], None] - rows[:, None, :]
         np.abs(gap, out=gap)
-        lower[a:a + step] = (gap.max(axis=0) if r > 1 else gap[0]).sum(axis=1)
+        lower[a:a + step] = gap.max(axis=0).sum(axis=1)
         del gap  # before the next block is built
     return lower
 
 
-class _MedoidSearch:
-    """Pruned exact medoid search of one cluster component, one row at a time.
-
-    Members are evaluated in this order: first the previous centroid, then
-    the member farthest from it, then the member farthest from both; after
-    that the open candidate with the smallest lower bound (_lower_bounds).
-    A candidate is pruned once its bound exceeds the best sum (padded by
-    _PRUNE_PAD); the search ends when no candidate is open. Only the
-    evaluated rows are kept, and the bounds are rebuilt from them.
+class _Layout:
+    """Clusters side by side: flat arrays hold every member of every
+    cluster, cluster after cluster. For the row-wise sorts, `groups` lay the
+    clusters out as padded (clusters x width) blocks of flat positions, the
+    padding pointing one past the last member. A group takes clusters by
+    size, largest first, while each keeps more than half the group's width
+    and the block stays within _BOUND_BLOCK / 8 elements (a larger cluster
+    is a group alone), so the blocks hold at most twice the members.
     """
 
-    def __init__(self, sel: np.ndarray, row: np.ndarray, p: int):
-        self.sel = sel            # the component's vertex ids, ascending
-        self.p = p                # position in sel of the row being evaluated
-        self.rows = np.empty((4, len(sel)))
-        self.evaluated = 0
-        self.open = np.arange(len(sel))
-        self.near = np.full(len(sel), np.inf)
-        self.best_sum, self.best = np.inf, -1
-        self.pad = _PRUNE_PAD * 2 * len(sel) * row.max()
+    def __init__(self, sizes: np.ndarray):
+        self.sizes = sizes
+        self.starts = np.cumsum(sizes) - sizes
+        self.cluster = np.repeat(np.arange(len(sizes)), sizes)
+        self.groups = []  # (block of flat positions, member count per block row)
+        order = np.argsort(-sizes, kind="stable")
+        first = 0
+        for i in range(1, len(order) + 1):
+            width = sizes[order[first]]
+            if (i < len(order) and 2 * sizes[order[i]] > width
+                    and (i + 1 - first) * width <= _BOUND_BLOCK // 8):
+                continue
+            counts = sizes[order[first:i]]
+            col = np.arange(width)
+            block = self.starts[order[first:i], None] + col
+            block[col >= counts[:, None]] = len(self.cluster)
+            self.groups.append((block, counts))
+            first = i
 
-    def take(self, row: np.ndarray) -> int | None:
-        """Take the row of the candidate at self.p (distances to sel); return
-        the vertex whose row comes next, or None once the medoid is known."""
+
+def _abs_sums(values: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Per member x: sum over the members j of x's cluster of
+    |values[j] - values[x]|, from one row-wise sort and prefix sums (the
+    values below x's add x's value minus theirs, those above the reverse)."""
+    padded = np.append(values, np.nan)  # sorts after every value
+    out = np.empty(len(values))
+    for block, counts in layout.groups:
+        order = np.argsort(padded[block], axis=1, kind="stable")
+        where = np.take_along_axis(block, order, axis=1)
+        ranked = padded[where]
+        prefix = np.zeros((len(ranked), ranked.shape[1] + 1))
+        np.cumsum(ranked, axis=1, out=prefix[:, 1:])
+        total = prefix[np.arange(len(ranked)), counts][:, None]
+        rank = np.arange(ranked.shape[1])
+        sums = ranked * (2 * rank - counts[:, None]) + total - 2 * prefix[:, :-1]
+        real = rank < counts[:, None]
+        out[where[real]] = sums[real]
+    return out
+
+
+def _pair_bounds(a: np.ndarray, b: np.ndarray, layout: _Layout) -> np.ndarray:
+    """_lower_bounds from the two rows a and b, for every member at once:
+    max(|da|, |db|) = (|da + db| + |da - db|) / 2, summed by _abs_sums."""
+    return 0.5 * (_abs_sums(a + b, layout) + _abs_sums(a - b, layout))
+
+
+def _first_max(values: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Per cluster, the position in it of its largest value (the first of
+    equal ones, as np.argmax)."""
+    top = np.maximum.reduceat(values, layout.starts)
+    hits = np.flatnonzero(values == top[layout.cluster])
+    return hits[np.searchsorted(hits, layout.starts)] - layout.starts
+
+
+class _MedoidSearch:
+    """Pruned exact medoid search of one cluster component from its fourth
+    row on (_first_rows evaluates the first three).
+
+    Each row is that of the open candidate with the smallest lower bound
+    (_lower_bounds over every evaluated row). A candidate is pruned once its
+    bound exceeds the best sum (padded by `pad`); the search ends when no
+    candidate is open. Only the evaluated rows are kept, and the bounds are
+    rebuilt from them.
+    """
+
+    def __init__(self, sel, rows, candidates, best_sum, best, pad):
+        self.sel = sel            # the component's vertex ids, ascending
+        self.rows = rows          # 3 evaluated rows, then free slots
+        self.evaluated = 3
+        self.best_sum, self.best, self.pad = best_sum, best, pad
+        self.prune(candidates)
+
+    def prune(self, candidates: np.ndarray) -> bool:
+        """Keep the candidates whose bound could still win and choose the
+        next row (self.p, a position in sel); False if none is left."""
+        lower = _lower_bounds(self.rows[:self.evaluated], candidates)
+        keep = lower <= self.best_sum + self.pad
+        self.open = candidates[keep]
+        if not len(self.open):
+            return False
+        self.p = int(self.open[np.argmin(lower[keep])])
+        return True
+
+    @property
+    def vertex(self) -> int:
+        return int(self.sel[self.p])
+
+    def take(self, row: np.ndarray) -> bool:
+        """Take the row of the candidate at self.p (distances to sel) and
+        prune; False once the medoid is known."""
         p = self.p
         total = row.sum()
         if total < self.best_sum or (total == self.best_sum and p < self.best):
@@ -231,22 +317,77 @@ class _MedoidSearch:
             self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
         self.rows[self.evaluated] = row
         self.evaluated += 1
-        open_ = self.open[self.open != p]
-        lower = _lower_bounds(self.rows[:self.evaluated], open_)
-        keep = lower <= self.best_sum + self.pad
-        self.open, lower = open_[keep], lower[keep]
-        if not len(self.open):
-            return None
-        if self.evaluated < 3:
-            self.near = np.minimum(self.near, row)
-            self.p = int(np.argmax(self.near))
-        else:
-            self.p = int(self.open[np.argmin(lower)])
-        return int(self.sel[self.p])
+        return self.prune(self.open[self.open != p])
 
     @property
     def medoid(self) -> int:
         return int(self.sel[self.best])
+
+
+def _first_rows(within: SurfaceGraph, keys: list[int], sels: list[np.ndarray],
+                row: np.ndarray, p: np.ndarray, medoids: list) -> dict[int, _MedoidSearch]:
+    """The first three rows of the medoid search of every cluster at once.
+
+    Cluster keys[i] has the component ids sels[i] (ascending); `row` holds
+    each one's first row, from its member at position p[i], cluster after
+    cluster. The second row is the member farthest from the first, the
+    third the member farthest from both; each is one sweep from every
+    cluster still open. After each row the bounds of every member come from
+    row-wise sorts (_abs_sums): the one-row bound, the two-row bound, then
+    the largest of the three pairwise two-row bounds; _lower_bounds builds
+    the full three-row bound only for the candidates that pass that. Row
+    totals are per-cluster sums of contiguous slices, as _MedoidSearch's.
+
+    Sets medoids[key] of each cluster whose search ends within three rows
+    and returns, by key, a _MedoidSearch carrying on each of the others.
+    """
+    keys, ids = np.array(keys), np.concatenate(sels)
+    layout = _Layout(np.array([len(s) for s in sels]))
+    pad = _PRUNE_PAD * 2 * layout.sizes * np.maximum.reduceat(row, layout.starts)
+    best_sum, best = np.full(len(keys), np.inf), np.zeros(len(keys), dtype=np.int64)
+    rows, pair = [], None
+    open_ = np.ones(len(ids), dtype=bool)
+    for r in range(3):
+        rows.append(row)
+        total = np.array([row[a:a + c].sum() for a, c in zip(layout.starts, layout.sizes)])
+        better = (total < best_sum) | ((total == best_sum) & (p < best))
+        best_sum, best = np.where(better, total, best_sum), np.where(better, p, best)
+        open_[layout.starts + p] = False
+        if r == 0:
+            lower = _abs_sums(row, layout)
+        elif r == 1:
+            lower = pair = _pair_bounds(rows[0], row, layout)
+        else:
+            lower = np.maximum(pair, _pair_bounds(rows[0], row, layout))
+            np.maximum(lower, _pair_bounds(rows[1], row, layout), out=lower)
+        open_ &= lower <= (best_sum + pad)[layout.cluster]
+        still = np.bincount(layout.cluster[open_], minlength=len(keys)) > 0
+        for j in np.flatnonzero(~still):
+            medoids[keys[j]] = int(ids[layout.starts[j] + best[j]])
+        if r == 2 or not still.any():
+            break
+        if not still.all():
+            kept = still[layout.cluster]
+            keys, best_sum, best, pad = keys[still], best_sum[still], best[still], pad[still]
+            ids, row, open_ = ids[kept], row[kept], open_[kept]
+            rows = [x[kept] for x in rows]
+            pair = pair[kept] if pair is not None else None
+            layout = _Layout(layout.sizes[still])
+        p = _first_max(row if r == 0 else np.minimum(rows[0], row), layout)
+        row = _sweep(within, ids[layout.starts + p])[ids]
+
+    searches = {}
+    for j in np.flatnonzero(still):
+        a, c = layout.starts[j], layout.sizes[j]
+        evaluated = np.empty((4, c))
+        evaluated[:3] = [x[a:a + c] for x in rows]
+        search = _MedoidSearch(ids[a:a + c], evaluated, np.flatnonzero(open_[a:a + c]),
+                               best_sum[j], int(best[j]), pad[j])
+        if len(search.open):
+            searches[keys[j]] = search
+        else:
+            medoids[keys[j]] = search.medoid
+    return searches
 
 
 def _medoids(graph: SurfaceGraph, assignment: np.ndarray, clusters: list[np.ndarray],
@@ -270,7 +411,7 @@ def _medoids(graph: SurfaceGraph, assignment: np.ndarray, clusters: list[np.ndar
         field_ = _sweep(within, np.array([anchors[i] for i in unswept]))
         rows.update((i, field_[clusters[i]]) for i in unswept)
 
-    searches: dict[int, _MedoidSearch] = {}
+    keys, sels, firsts, positions = [], [], [], []
     for i, anchor in anchors.items():
         reached = np.isfinite(rows[i])
         if anchor != previous[i] and not reached.all():
@@ -279,15 +420,17 @@ def _medoids(graph: SurfaceGraph, assignment: np.ndarray, clusters: list[np.ndar
         if len(sel) == 1:
             medoids[i] = anchor
         else:
-            rows[i] = rows[i][reached]
-            searches[i] = _MedoidSearch(sel, rows[i], int(np.searchsorted(sel, anchor)))
+            keys.append(i)
+            sels.append(sel)
+            firsts.append(rows[i][reached])
+            positions.append(int(np.searchsorted(sel, anchor)))
+    searches = (_first_rows(within, keys, sels, np.concatenate(firsts), np.array(positions),
+                            medoids) if keys else {})
     while searches:
-        sources = {i: search.take(rows[i]) for i, search in searches.items()}
-        for i in [i for i, v in sources.items() if v is None]:
-            medoids[i] = searches.pop(i).medoid
-        if searches:
-            field_ = _sweep(within, np.array([sources[i] for i in searches]))
-            rows = {i: field_[search.sel] for i, search in searches.items()}
+        field_ = _sweep(within, np.array([search.vertex for search in searches.values()]))
+        for i in list(searches):
+            if not searches[i].take(field_[searches[i].sel]):
+                medoids[i] = searches.pop(i).medoid
     return medoids
 
 
@@ -297,8 +440,9 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
 
     The medoid minimizes the sum of geodesic distances within the cluster's
     induced subgraph; ties go to the smallest vertex index. It comes from a
-    pruned search (see _MedoidSearch) over rows from the previous centroid,
-    a few far members and the candidates whose lower bound could still win.
+    pruned search (_first_rows, then _MedoidSearch) over rows from the
+    previous centroid, two far members and the candidates whose lower bound
+    could still win.
     All clusters search at once: every round is one sweep over the graph
     with the edges between clusters cut, from one source per open cluster.
     For a disconnected cluster subgraph the medoid is taken on the component

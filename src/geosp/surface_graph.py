@@ -53,10 +53,14 @@ class SurfaceGraph:
 
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
+        # One int64 key per edge sorts like its (lo, hi) row. Stable argsort
+        # is a merge of runs, so keys that come sorted (build_graph's) cost
+        # one pass; duplicates end up side by side.
         key = lo * n + hi
-        if len(np.unique(key)) != len(key):
-            raise ValueError("duplicate edges are not allowed")
         order = np.argsort(key, kind="stable")
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate edges are not allowed")
         self._eu = lo[order]
         self._ev = hi[order]
         self._ew = w[order]
@@ -64,7 +68,7 @@ class SurfaceGraph:
         du = np.concatenate([self._eu, self._ev])
         dv = np.concatenate([self._ev, self._eu])
         dw = np.concatenate([self._ew, self._ew])
-        idx = np.lexsort((dv, du))
+        idx = np.argsort(du * n + dv, kind="stable")  # keys are unique: the (du, dv) order
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(du, minlength=n), out=self.indptr[1:])
         self.neighbor_indices = dv[idx]
@@ -111,7 +115,7 @@ def build_graph(mesh: TriangleMesh) -> SurfaceGraph:
         e.sort(axis=1)
         # One int64 key per edge sorts like its (lo, hi) row.
         n = mesh.vertex_count
-        key = np.unique(e[:, 0] * n + e[:, 1])
+        key = _distinct(e[:, 0] * n + e[:, 1])
         lo, hi = key // n, key % n
         w = np.linalg.norm(mesh.vertices[lo] - mesh.vertices[hi], axis=1)
         w = np.maximum(w, MIN_EDGE_WEIGHT_MM)

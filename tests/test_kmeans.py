@@ -7,8 +7,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from geosp import (KmeansConfig, TriangleMesh, bridge_graph, build_graph, calc_groups,
-                   comp_centroids, dumbbell_mesh, grid_mesh, icosphere_mesh, multi_source_sssp,
-                   perturb_weights, sssp, stop_criterion, wave_sheet_mesh)
+                   comp_centroids, concat_meshes, dumbbell_mesh, grid_mesh, icosphere_mesh,
+                   multi_source_sssp, perturb_weights, sssp, stop_criterion, wave_sheet_mesh)
 from geosp import kmeans
 from geosp.kmeans import max_centroid_shift_mm
 from geosp.oracles import oracle_medoid, oracle_sssp
@@ -346,6 +346,87 @@ def test_bounds_in_column_blocks_equal_one_block(monkeypatch, evaluated):
     assert kmeans._lower_bounds(rows, cols).tobytes() == whole.tobytes()
     gap = np.abs(rows[:, cols, None] - rows[:, None, :]).max(axis=0)
     np.testing.assert_allclose(whole, gap.sum(axis=1), rtol=1e-12)
+
+
+def _bound_rows(kind, sizes, rng):
+    """Two rows per cluster, one (2, c) array each."""
+    if kind == "integer":
+        return [rng.integers(0, 50, size=(2, c)).astype(float) for c in sizes]
+    if kind == "repeated":  # a few distinct values, many ties
+        return [rng.choice(rng.random(3) * 20, size=(2, c)) for c in sizes]
+    return [rng.random((2, c)) * rng.uniform(0.1, 100) for c in sizes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["float", "integer", "repeated"]),
+       st.lists(st.sampled_from([2, 2, 3, 5, 8, 13, 40, 90]), min_size=1, max_size=12))
+def test_prefix_sum_bounds_equal_brute_force(seed, kind, sizes):
+    rows = _bound_rows(kind, sizes, np.random.default_rng(seed))
+    layout = kmeans._Layout(np.array(sizes))
+    a, b = np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
+    one, two = kmeans._abs_sums(a, layout), kmeans._pair_bounds(a, b, layout)
+    for r, start in zip(rows, layout.starts):
+        # A medoid row is at most twice the anchor's eccentricity, so the
+        # search's pad is at least this.
+        c = r.shape[1]
+        pad = kmeans._PRUNE_PAD * c * r.max()
+        for got, evaluated in ((one[start:start + c], r[:1]), (two[start:start + c], r)):
+            brute = np.abs(evaluated[:, :, None] - evaluated[:, None, :]).max(0).sum(1)
+            if kind == "integer":  # every step is exact
+                assert got.tobytes() == brute.tobytes()
+            else:
+                assert np.all(np.abs(got - brute) <= pad)
+
+
+@pytest.mark.parametrize("sizes", [[1600] + [5, 9, 20] * 100, list(range(2, 300)), [2] * 5000])
+def test_layout_groups_pad_at_most_twice_the_members(sizes):
+    layout = kmeans._Layout(np.array(sizes))
+    blocks = [block for block, _ in layout.groups]
+    padded = sum(block.size for block in blocks)
+    assert padded <= 2 * sum(sizes)
+    real = np.concatenate([block[block < sum(sizes)] for block in blocks])
+    assert np.array_equal(np.sort(real), np.arange(sum(sizes)))  # every member once
+    assert all(block.size <= kmeans._BOUND_BLOCK // 8 or len(block) == 1 for block in blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["icosphere", "wave sheet", "dumbbell"]),
+       st.integers(2, 40))
+def test_lockstep_medoids_of_many_clusters_equal_oracle(seed, kind, k):
+    rng = np.random.default_rng(seed)
+    mesh = (dumbbell_mesh(*(int(x) for x in rng.integers(2, 9, size=2)))
+            if kind == "dumbbell" else irregular_mesh(kind, rng))
+    g = perturb_weights(build_graph(mesh), rng_seed=seed % 1000)
+    centroids = rng.choice(g.vertex_count, size=min(k, g.vertex_count), replace=False).tolist()
+    assignment, _ = calc_groups(g, centroids)
+    dist = multi_source_sssp(g, centroids).dist
+    medoids = comp_centroids(g, assignment, centroids, dist)
+    assert medoids == comp_centroids(g, assignment, centroids)
+    for i, c in enumerate(centroids):
+        ids = np.flatnonzero(assignment == i)
+        assert medoids[i] == oracle_medoid(g, ids, previous_centroid=c)
+
+
+def test_medoid_memory_follows_the_member_count():
+    # One 1600-member cluster beside 300 clusters of about 12 members: a
+    # layout padding every cluster to the largest would hold 301 x 1600
+    # slots per array, over 3 kB per member.
+    rng = np.random.default_rng(0)
+    big = _jittered_rotated_grid(40, 40, rng)
+    small = _jittered_rotated_grid(60, 60, rng)
+    g = build_graph(concat_meshes(big, small)[0])
+    centroids = (1600 + rng.choice(3600, size=300, replace=False)).tolist()
+    assignment, _ = calc_groups(g, centroids)
+    assignment[:1600] = len(centroids)  # the big grid is one cluster
+    centroids.append(0)
+    tracemalloc.start()
+    try:
+        medoids = comp_centroids(g, assignment, centroids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1500 * g.vertex_count
+    assert medoids[-1] == cluster_medoid(g, np.arange(1600), 0)
 
 
 def test_comp_centroids_empty_cluster_rejected():

@@ -31,3 +31,14 @@ def test_runtime_trend_prints_one_row_per_k():
     assert lines[1].split() == ["parcels", "atlas", "[s]", "whole", "[s]"]
     assert len(lines) == 3
     assert lines[2].split()[0] == "70"
+
+
+def test_paper_scale_prints_time_memory_and_digest_per_configuration():
+    lines = _run("paper_scale.py", "--nx", "20", "--ny", "21")
+    assert lines[0] == "mesh: 840 vertices, 70 regions"
+    assert lines[1].split() == ["config", "wall", "[s]", "peak", "RSS", "[MB]", "sub_parcel",
+                                "sha256"]
+    assert [line.split()[:2] for line in lines[2:]] == [["atlas", "k=5"], ["whole", "k=175"]]
+    for line in lines[2:]:
+        wall, peak, digest = line.split()[2:]
+        assert float(wall) > 0 and float(peak) > 0 and len(digest) == 64

@@ -71,6 +71,38 @@ def test_graph_rejects_bad_edges():
         SurfaceGraph(pos, [0, 1], [1, 2], [1.0, np.nan])
 
 
+def _lexsort_construction(n, u, v, w):
+    """Edge and CSR arrays as SurfaceGraph built them with a hash np.unique
+    duplicate check and a lexsort of the directed edges."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * n + hi
+    assert len(np.unique(key)) == len(key)
+    order = np.argsort(key, kind="stable")
+    eu, ev, ew = lo[order], hi[order], w[order]
+    du, dv, dw = np.concatenate([eu, ev]), np.concatenate([ev, eu]), np.concatenate([ew, ew])
+    idx = np.lexsort((dv, du))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(du, minlength=n), out=indptr[1:])
+    return eu, ev, ew, indptr, dv[idx], dw[idx]
+
+
+@pytest.mark.parametrize("kind", MESH_KINDS)
+def test_csr_arrays_equal_the_lexsort_construction(kind):
+    rng = np.random.default_rng(len(kind) + 7)
+    g = build_graph(irregular_mesh(kind, rng))
+    eu, ev, ew = g.edges()
+    shuffle = rng.permutation(len(eu))
+    flip = rng.random(len(eu)) < 0.5
+    u, v = np.where(flip, ev, eu)[shuffle], np.where(flip, eu, ev)[shuffle]
+    shuffled = SurfaceGraph(g.positions, u, v, ew[shuffle])
+    for graph, edges in ((g, (eu, ev, ew)), (shuffled, (u, v, ew[shuffle]))):
+        expected = _lexsort_construction(g.vertex_count, *edges)
+        got = (*graph.edges(), graph.indptr, graph.neighbor_indices, graph.neighbor_weights)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+    with pytest.raises(ValueError, match="duplicate"):  # one edge twice, far apart
+        SurfaceGraph(g.positions, np.append(u, v[0]), np.append(v, u[0]), np.append(ew, 1.0))
+
+
 def test_adjacency_symmetric():
     g = bumpy_grid_graph(0)
     for u in range(g.vertex_count):
