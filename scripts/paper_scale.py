@@ -5,8 +5,9 @@ Builds `atlas_mesh(nx, ny)` (default 390 x 390 per hemisphere, 304,200
 vertices, about a FreeSurfer white-surface pair) with a fixed uniform
 +-0.25 mm z jitter, so that no two edges tie. It then runs atlas mode with
 k=5 per region (70 regions, 350 sub-parcels) and whole mode with k=175 per
-hemisphere, both with base seed 7 and 1 worker. Each configuration runs in
-a fresh process. For each, the script prints the wall time of the
+hemisphere, both with base seed 7 and 1 worker (`--config atlas` or
+`--config whole` runs one of them alone). Each configuration runs in a
+fresh process. For each, the script prints the wall time of the
 parcellation, the peak RSS of its process (mesh building included) and the
 sha256 of `sub_parcel`, so two versions of geosp can be compared for speed
 and for identical output.
@@ -52,11 +53,15 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--nx", type=int, default=390, help="grid width per hemisphere")
     ap.add_argument("--ny", type=int, default=390, help="grid height per hemisphere")
+    ap.add_argument("--config", choices=["atlas", "whole"],
+                    help="run this configuration only (default: both)")
     args = ap.parse_args()
 
     print(f"mesh: {2 * args.nx * args.ny} vertices, 70 regions")
     print(f"{'config':<12} {'wall [s]':>9} {'peak RSS [MB]':>14}  sub_parcel sha256")
     for name, (mode, k) in CONFIGS.items():
+        if args.config not in (None, mode):
+            continue
         # A fresh process per configuration, so each peak RSS is its own.
         with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
             wall, peak_mb, digest = pool.submit(run, mode, k, args.nx, args.ny).result()

@@ -20,7 +20,8 @@ first three rows of every cluster are handled in one batched pass: with the
 clusters laid out side by side, the one- and two-row bounds of every member
 have closed forms, sum_j |a_j - a_x| from a row-wise sort and prefix sums,
 and sum_j max(|da|, |db|) = (sum_j |d(a+b)| + sum_j |d(a-b)|) / 2. After
-that each open cluster goes on alone, rebuilding its bounds from its rows.
+that each open cluster goes on alone over float32 rows, refreshing its
+stale bounds best first, only as far as the choice of its next row needs.
 All tie-breaking is by smallest index (centroid list position for
 assignment, vertex index for medoids), which makes runs bit-reproducible.
 """
@@ -46,8 +47,8 @@ class KmeansConfig:
             raise ValueError("k must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tolerance_mm <= 0:
-            raise ValueError("convergence tolerance must be positive")
+        if not 0 < self.convergence_tolerance_mm < np.inf:  # NaN fails too
+            raise ValueError("convergence tolerance must be positive and finite")
 
 
 @dataclass
@@ -184,10 +185,26 @@ def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, 
 # tie is always evaluated.
 _PRUNE_PAD = 1e-9
 
-# float64 elements of the r x columns x c difference block in _lower_bounds
-# (2 MB). A group of the row-wise sorts in _abs_sums pads to at most an
-# eighth of that, as it holds about eight arrays of its size at once.
+# The same share for the bounds _MedoidSearch builds from float32 rows.
+# Each term |f(d(s,j)) - f(d(s,x))| of such a bound errs by at most
+# 1.5 * 2**-22 * ecc (v = 2**-24 the float32 unit roundoff): each of the two
+# casts moves a distance of at most 2*ecc by up to 2*v*ecc, and the
+# subtraction, whose result is also at most 2*ecc, by up to 2*v*ecc more.
+# abs and max are exact, and the float64 sum of the c terms adds about
+# log2(c) * u * 2*c*ecc. So a float32 bound errs by under 1.8e-7 of
+# 2*c*ecc, whatever c is; with the float64 errors above it stays below
+# 1e-6 of it.
+_ROW_PAD = 1e-6
+
+# Elements of the r x columns x c difference block in _lower_bounds (1 MB
+# of float32 rows, 2 MB of float64). A group of the row-wise sorts in
+# _abs_sums pads to at most an eighth of that, as it holds about eight
+# float64 arrays of its size at once.
 _BOUND_BLOCK = 1 << 18
+
+# Candidates whose bounds _MedoidSearch refreshes first in a round; each
+# further refresh takes twice as many as the one before.
+_FIRST_REFRESH = 16
 
 
 def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -195,8 +212,11 @@ def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     evaluated rows s of |d(s,j) - d(s,x)|, which is at most d(x,j) by the
     triangle inequality, so at most x's distance sum.
 
-    Built in blocks of columns, so it holds at most about 2 * _BOUND_BLOCK
-    floats at once, whatever the cluster size.
+    The gaps and their maxima are taken in the dtype of `rows` (float32 in
+    _MedoidSearch, see _ROW_PAD), each column's sum in float64. Built in
+    blocks of columns, so it holds at most about 2 * _BOUND_BLOCK elements
+    at once, whatever the cluster size; each bound has the same bits in any
+    block.
     """
     r, c = rows.shape
     step = max(1, _BOUND_BLOCK // (r * c))
@@ -204,7 +224,7 @@ def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     for a in range(0, len(cols), step):
         gap = rows[:, cols[a:a + step], None] - rows[:, None, :]
         np.abs(gap, out=gap)
-        lower[a:a + step] = gap.max(axis=0).sum(axis=1)
+        lower[a:a + step] = gap.max(axis=0).sum(axis=1, dtype=np.float64)
         del gap  # before the next block is built
     return lower
 
@@ -278,28 +298,56 @@ class _MedoidSearch:
     row on (_first_rows evaluates the first three).
 
     Each row is that of the open candidate with the smallest lower bound
-    (_lower_bounds over every evaluated row). A candidate is pruned once its
-    bound exceeds the best sum (padded by `pad`); the search ends when no
-    candidate is open. Only the evaluated rows are kept, and the bounds are
-    rebuilt from them.
+    (_lower_bounds over every evaluated row, ties to the smallest position).
+    Rows are kept as float32, so the bounds are padded by _ROW_PAD; row
+    totals come from the float64 rows. A candidate is pruned once its bound
+    exceeds the best sum (padded by `pad`); the search ends when no
+    candidate is open.
+
+    Refresh is lazy and best-first. Each open candidate keeps the bound last
+    computed for it (at first its pairwise two-row bound from _first_rows).
+    A bound only grows as rows are added, so a stale one is still a lower
+    bound. Each round refreshes the candidates in order of their stale
+    bounds, _FIRST_REFRESH of them and then twice as many each time, until
+    the next stale bound exceeds the smallest fresh one m by more than the
+    pad, which covers the rounding of both. Every candidate left stale then
+    has a true bound above m, so the next row is the one a refresh of every
+    candidate would choose.
     """
 
-    def __init__(self, sel, rows, candidates, best_sum, best, pad):
+    def __init__(self, sel, rows, candidates, lower, best_sum, best, pad):
         self.sel = sel            # the component's vertex ids, ascending
-        self.rows = rows          # 3 evaluated rows, then free slots
+        self.rows = rows          # float32: 3 evaluated rows, then free slots
         self.evaluated = 3
+        self.open, self.lower = candidates, lower  # positions in sel, their last bounds
         self.best_sum, self.best, self.pad = best_sum, best, pad
-        self.prune(candidates)
 
-    def prune(self, candidates: np.ndarray) -> bool:
+    def prune(self) -> bool:
         """Keep the candidates whose bound could still win and choose the
         next row (self.p, a position in sel); False if none is left."""
-        lower = _lower_bounds(self.rows[:self.evaluated], candidates)
-        keep = lower <= self.best_sum + self.pad
-        self.open = candidates[keep]
-        if not len(self.open):
+        keep = self.lower <= self.best_sum + self.pad
+        candidates, lower = self.open[keep], self.lower[keep]
+        if not len(candidates):
             return False
-        self.p = int(self.open[np.argmin(lower[keep])])
+        rows = self.rows[:self.evaluated]
+        if len(candidates) <= _FIRST_REFRESH:
+            lower = _lower_bounds(rows, candidates)
+        else:
+            order = np.argsort(lower)
+            done, step, m = 0, _FIRST_REFRESH, np.inf
+            while done < len(order) and lower[order[done]] <= m + self.pad:
+                chunk = order[done:done + step]
+                fresh = lower[chunk] = _lower_bounds(rows, candidates[chunk])
+                m = min(m, fresh.min())
+                done += step
+                step *= 2
+        # Candidates stay in position order, and a stale bound left exceeds
+        # m, so this is the first refreshed candidate with the bound m.
+        at = int(np.argmin(lower))
+        if lower[at] > self.best_sum + self.pad:
+            return False
+        self.open, self.lower, self.at = candidates, lower, at
+        self.p = int(candidates[at])
         return True
 
     @property
@@ -317,7 +365,8 @@ class _MedoidSearch:
             self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
         self.rows[self.evaluated] = row
         self.evaluated += 1
-        return self.prune(self.open[self.open != p])
+        self.lower[self.at] = np.inf  # no longer a candidate
+        return self.prune()
 
     @property
     def medoid(self) -> int:
@@ -334,16 +383,16 @@ def _first_rows(within: SurfaceGraph, keys: list[int], sels: list[np.ndarray],
     third the member farthest from both; each is one sweep from every
     cluster still open. After each row the bounds of every member come from
     row-wise sorts (_abs_sums): the one-row bound, the two-row bound, then
-    the largest of the three pairwise two-row bounds; _lower_bounds builds
-    the full three-row bound only for the candidates that pass that. Row
-    totals are per-cluster sums of contiguous slices, as _MedoidSearch's.
+    the largest of the three pairwise two-row bounds, which each
+    _MedoidSearch takes as its candidates' first stale bounds. Row totals
+    are per-cluster sums of contiguous slices, as _MedoidSearch's.
 
     Sets medoids[key] of each cluster whose search ends within three rows
     and returns, by key, a _MedoidSearch carrying on each of the others.
     """
     keys, ids = np.array(keys), np.concatenate(sels)
     layout = _Layout(np.array([len(s) for s in sels]))
-    pad = _PRUNE_PAD * 2 * layout.sizes * np.maximum.reduceat(row, layout.starts)
+    largest = 2 * layout.sizes * np.maximum.reduceat(row, layout.starts)  # 2 * c * ecc
     best_sum, best = np.full(len(keys), np.inf), np.zeros(len(keys), dtype=np.int64)
     rows, pair = [], None
     open_ = np.ones(len(ids), dtype=bool)
@@ -360,7 +409,7 @@ def _first_rows(within: SurfaceGraph, keys: list[int], sels: list[np.ndarray],
         else:
             lower = np.maximum(pair, _pair_bounds(rows[0], row, layout))
             np.maximum(lower, _pair_bounds(rows[1], row, layout), out=lower)
-        open_ &= lower <= (best_sum + pad)[layout.cluster]
+        open_ &= lower <= (best_sum + _PRUNE_PAD * largest)[layout.cluster]
         still = np.bincount(layout.cluster[open_], minlength=len(keys)) > 0
         for j in np.flatnonzero(~still):
             medoids[keys[j]] = int(ids[layout.starts[j] + best[j]])
@@ -368,7 +417,8 @@ def _first_rows(within: SurfaceGraph, keys: list[int], sels: list[np.ndarray],
             break
         if not still.all():
             kept = still[layout.cluster]
-            keys, best_sum, best, pad = keys[still], best_sum[still], best[still], pad[still]
+            keys, best_sum, best = keys[still], best_sum[still], best[still]
+            largest = largest[still]
             ids, row, open_ = ids[kept], row[kept], open_[kept]
             rows = [x[kept] for x in rows]
             pair = pair[kept] if pair is not None else None
@@ -379,11 +429,12 @@ def _first_rows(within: SurfaceGraph, keys: list[int], sels: list[np.ndarray],
     searches = {}
     for j in np.flatnonzero(still):
         a, c = layout.starts[j], layout.sizes[j]
-        evaluated = np.empty((4, c))
+        evaluated = np.empty((4, c), dtype=np.float32)
         evaluated[:3] = [x[a:a + c] for x in rows]
-        search = _MedoidSearch(ids[a:a + c], evaluated, np.flatnonzero(open_[a:a + c]),
-                               best_sum[j], int(best[j]), pad[j])
-        if len(search.open):
+        candidates = np.flatnonzero(open_[a:a + c])
+        search = _MedoidSearch(ids[a:a + c], evaluated, candidates, lower[a + candidates],
+                               best_sum[j], int(best[j]), _ROW_PAD * largest[j])
+        if search.prune():
             searches[keys[j]] = search
         else:
             medoids[keys[j]] = search.medoid

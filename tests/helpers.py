@@ -1,6 +1,7 @@
 """Shared test fixtures: tiny hand-built graphs and randomized bumpy surfaces."""
 import numpy as np
 
+from geosp import kmeans
 from geosp import (Block, KmeansConfig, SurfaceGraph, TriangleMesh, build_graph, comp_centroids,
                    concat_meshes, grid_mesh, icosphere_mesh, kmeanspp_init, parallel_kmeans,
                    wave_sheet_mesh)
@@ -95,3 +96,41 @@ def cluster_medoid(graph: SurfaceGraph, ids, previous_centroid: int, dist=None) 
     assignment = np.full(graph.vertex_count, -1, dtype=np.int64)
     assignment[ids] = 0
     return comp_centroids(graph, assignment, [int(previous_centroid)], dist)[0]
+
+
+class EagerMedoidSearch:
+    """Reference for kmeans._MedoidSearch: the same search from the fourth
+    row on, but every round rebuilds the bound of every open candidate from
+    every evaluated row with the same float32 kernel (kmeans._lower_bounds)
+    and takes the first smallest. It keeps no bound between rounds and
+    ignores the stale bounds it is given. Same constructor and methods, so
+    it can stand in for kmeans._MedoidSearch."""
+
+    def __init__(self, sel, rows, candidates, lower, best_sum, best, pad):
+        self.sel, self.rows, self.open = sel, [r.astype(np.float32) for r in rows[:3]], candidates
+        self.best_sum, self.best, self.pad = best_sum, best, pad
+
+    def prune(self) -> bool:
+        lower = kmeans._lower_bounds(np.array(self.rows), self.open)
+        keep = lower <= self.best_sum + self.pad
+        self.open = self.open[keep]
+        if not len(self.open):
+            return False
+        self.p = int(self.open[np.argmin(lower[keep])])
+        return True
+
+    @property
+    def vertex(self) -> int:
+        return int(self.sel[self.p])
+
+    def take(self, row: np.ndarray) -> bool:
+        total = row.sum()
+        if total < self.best_sum or (total == self.best_sum and self.p < self.best):
+            self.best_sum, self.best = total, self.p
+        self.rows.append(row.astype(np.float32))
+        self.open = self.open[self.open != self.p]
+        return self.prune()
+
+    @property
+    def medoid(self) -> int:
+        return int(self.sel[self.best])

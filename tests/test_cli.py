@@ -181,6 +181,17 @@ def test_non_positive_workers_fail(tmp_path, capsys, workers):
     assert not (tmp_path / "atlas").exists() and not (tmp_path / "whole").exists()
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_non_finite_tolerance_fails(tmp_path, capsys, tolerance):
+    synth = _synth_atlas(tmp_path)
+    assert run(["parcellate-whole", "--mesh", str(synth / "mesh.off"),
+                "--hemis", str(synth / "hemispheres.txt"), "--k", "2",
+                "--tolerance", tolerance, "--out", str(tmp_path / "whole")]) == 1
+    assert "geosp: error: convergence tolerance must be positive and finite" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "whole").exists()
+
+
 def test_missing_file_fails(tmp_path, capsys):
     assert run(["parcellate-atlas", "--mesh", str(tmp_path / "nope.off"),
                 "--labels", str(tmp_path / "nope.txt"), "--k", "2",

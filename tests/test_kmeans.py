@@ -14,8 +14,8 @@ from geosp.kmeans import max_centroid_shift_mm
 from geosp.oracles import oracle_medoid, oracle_sssp
 from geosp.surface_graph import SurfaceGraph, induced_subgraph
 
-from helpers import (MESH_KINDS, bumpy_grid_graph, cluster_medoid, irregular_mesh, kmeans_alone,
-                     path_graph, seeds_alone)
+from helpers import (MESH_KINDS, EagerMedoidSearch, bumpy_grid_graph, bumpy_grid_mesh,
+                     cluster_medoid, irregular_mesh, kmeans_alone, path_graph, seeds_alone)
 
 DUMBBELL_PATCH = 16  # vertices per blob of the default dumbbell
 
@@ -27,6 +27,9 @@ def test_config_validation():
         KmeansConfig(k=2, max_iterations=0)
     with pytest.raises(ValueError):
         KmeansConfig(k=2, convergence_tolerance_mm=0.0)
+    for tolerance in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            KmeansConfig(k=2, convergence_tolerance_mm=tolerance)
 
 
 # -- k-means++ seeding ---------------------------------------------------------
@@ -348,6 +351,60 @@ def test_bounds_in_column_blocks_equal_one_block(monkeypatch, evaluated):
     np.testing.assert_allclose(whole, gap.sum(axis=1), rtol=1e-12)
 
 
+def _float32_rows(kind, r, c, rng):
+    """r medoid-like rows of c members as float64: spread over 1e-3..1e5 mm,
+    bunched near one value, or near-equal beyond float32 resolution."""
+    if kind == "spread":
+        return 10.0 ** rng.uniform(-3, 5, size=(r, c))
+    base = 10.0 ** rng.uniform(-3, 5, size=(r, 1))
+    if kind == "bunched":
+        return base * (1 + rng.uniform(0, 1e-3, size=(r, c)))
+    return base * (1 + rng.integers(0, 4, size=(r, c)) * 2.0 ** -30)  # near-equal
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["spread", "bunched", "near-equal"]),
+       st.integers(1, 6), st.integers(2, 2000))
+def test_float32_bounds_stay_within_the_row_pad(seed, kind, r, c):
+    rng = np.random.default_rng(seed)
+    rows = _float32_rows(kind, r, c, rng)
+    cols = np.sort(rng.choice(c, size=min(c, 40), replace=False))
+    got = kmeans._lower_bounds(rows.astype(np.float32), cols)
+    exact = np.abs(rows[:, cols, None] - rows[:, None, :]).max(0).sum(1)
+    # The search's pad is _ROW_PAD * 2 * c * ecc, and a row is at most 2 * ecc.
+    pad = kmeans._ROW_PAD * c * rows.max()
+    assert np.all(got - pad <= exact)
+    assert np.all(exact - pad <= got)
+
+
+@pytest.mark.parametrize("shape, weights", [((6, 6), (1, 1)), ((12, 12), (1, 1)),
+                                            ((30, 30), (1, 1)), ((16, 31), (2, 3)),
+                                            ((40, 20), (3, 1))])
+def test_medoid_ties_on_an_integer_grid_go_to_smallest_index(shape, weights):
+    # Four-neighbour grid with integer weights: the distances are exact
+    # integers and a half turn maps the grid onto itself, so many sums and
+    # bounds tie exactly.
+    nx, ny = shape
+    ids = np.arange(nx * ny).reshape(ny, nx)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    w = np.concatenate([np.full(ny * (nx - 1), float(weights[0])),
+                        np.full((ny - 1) * nx, float(weights[1]))])
+    positions = np.column_stack([(ids % nx).ravel(), (ids // nx).ravel(), np.zeros(nx * ny)])
+    g = SurfaceGraph(positions.astype(float), u, v, w)
+    members = np.arange(g.vertex_count)
+    one = np.zeros(g.vertex_count, dtype=np.int64)  # every vertex in cluster 0
+    expected = oracle_medoid(g, members)
+    for previous in (0, nx - 1, g.vertex_count - 1, expected):
+        assert cluster_medoid(g, members, previous) == expected
+        # Tied stale bounds: the lazy refresh still takes the rows of a full one.
+        eager = _medoid_sources(g, one, [previous], None, EagerMedoidSearch)
+        for first_refresh in (1, 16):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kmeans, "_FIRST_REFRESH", first_refresh)
+                assert _medoid_sources(g, one, [previous], None, kmeans._MedoidSearch) == eager
+
+
 def _bound_rows(kind, sizes, rng):
     """Two rows per cluster, one (2, c) array each."""
     if kind == "integer":
@@ -405,6 +462,64 @@ def test_lockstep_medoids_of_many_clusters_equal_oracle(seed, kind, k):
     for i, c in enumerate(centroids):
         ids = np.flatnonzero(assignment == i)
         assert medoids[i] == oracle_medoid(g, ids, previous_centroid=c)
+
+
+def test_refresh_goes_on_through_stale_bounds_tied_with_the_smallest(monkeypatch):
+    monkeypatch.setattr(kmeans, "_FIRST_REFRESH", 1)
+    c = 41
+    # Four copies of the row 0..40: the fresh bound of x is sum_j |j - x|,
+    # 420 at x = 20 and more elsewhere. x = 20's stale bound sorts first; the
+    # others' stale bounds tie with its fresh one, so they must be refreshed.
+    stale = np.full(c - 1, 420.0)  # candidates 1..40
+    stale[19] = 0.0
+    search = kmeans._MedoidSearch(np.arange(c), np.tile(np.arange(c, dtype=np.float32), (4, 1)),
+                                  np.arange(1, c), stale, 820.0, 0, 1e-6)
+    assert search.prune() and search.p == 20
+    # Every fresh bound is 0 and the last candidate sorts first: the row
+    # goes to the smallest position.
+    stale = np.zeros(c - 1)
+    stale[-1] = -1.0
+    search = kmeans._MedoidSearch(np.arange(c), np.ones((4, c), dtype=np.float32),
+                                  np.arange(1, c), stale, 1.0, 0, 1e-6)
+    assert search.prune() and search.p == 1
+
+
+def _medoid_sources(graph, assignment, centroids, dist, search):
+    """comp_centroids with `search` as kmeans._MedoidSearch: the medoids and
+    the sources of every medoid sweep, round by round."""
+    sources = []
+    original = kmeans._sweep
+
+    def recording(g, s, *args, **kwargs):
+        sources.append(s.tolist())
+        return original(g, s, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kmeans, "_sweep", recording)
+        patch.setattr(kmeans, "_MedoidSearch", search)
+        medoids = comp_centroids(graph, assignment, centroids, dist)
+    return medoids, sources
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS), st.integers(1, 40),
+       st.sampled_from([1, 3, 16]))
+def test_lazy_refresh_evaluates_the_rows_of_a_full_refresh(seed, kind, k, first_refresh):
+    rng = np.random.default_rng(seed)
+    mesh = irregular_mesh(kind, rng)
+    if seed % 2 and kind == "jittered grid":  # larger clusters: more open candidates
+        mesh = bumpy_grid_mesh(seed, min_side=20, max_side=40)
+    elif seed % 2 and kind == "unjittered grid":
+        mesh = grid_mesh(*(int(x) for x in rng.integers(20, 41, size=2)))
+    g = perturb_weights(build_graph(mesh), rng_seed=seed % 1000) if seed % 3 else build_graph(mesh)
+    pool = int(np.flatnonzero(np.isfinite(sssp(g, 0).dist)).max()) + 1
+    centroids = rng.choice(pool, size=min(k, pool), replace=False).tolist()
+    assignment, _ = calc_groups(g, centroids)
+    dist = multi_source_sssp(g, centroids).dist
+    with pytest.MonkeyPatch.context() as patch:  # smaller first refreshes: more of them
+        patch.setattr(kmeans, "_FIRST_REFRESH", first_refresh)
+        lazy = _medoid_sources(g, assignment, centroids, dist, kmeans._MedoidSearch)
+    assert lazy == _medoid_sources(g, assignment, centroids, dist, EagerMedoidSearch)
 
 
 def test_medoid_memory_follows_the_member_count():

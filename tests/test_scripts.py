@@ -42,3 +42,8 @@ def test_paper_scale_prints_time_memory_and_digest_per_configuration():
     for line in lines[2:]:
         wall, peak, digest = line.split()[2:]
         assert float(wall) > 0 and float(peak) > 0 and len(digest) == 64
+    for config, row in (("atlas", lines[2]), ("whole", lines[3])):
+        alone = _run("paper_scale.py", "--nx", "20", "--ny", "21", "--config", config)
+        assert alone[:2] == lines[:2] and len(alone) == 3
+        assert alone[2].split()[:2] == row.split()[:2]
+        assert alone[2].split()[-1] == row.split()[-1]  # the same sub_parcel
