@@ -20,8 +20,10 @@ first three rows of every cluster are handled in one batched pass: with the
 clusters laid out side by side, the one- and two-row bounds of every member
 have closed forms, sum_j |a_j - a_x| from a row-wise sort and prefix sums,
 and sum_j max(|da|, |db|) = (sum_j |d(a+b)| + sum_j |d(a-b)|) / 2. After
-that each open cluster goes on alone over float32 rows, refreshing its
-stale bounds best first, only as far as the choice of its next row needs.
+that one flat search goes on over float32 rows of every open cluster, still
+side by side: each round refreshes stale bounds best first, only as far as
+each cluster's choice of its next row needs, in a few padded calls for all
+clusters at once.
 All tie-breaking is by smallest index (centroid list position for
 assignment, vertex index for medoids), which makes runs bit-reproducible.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,7 +188,7 @@ def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, 
 # tie is always evaluated.
 _PRUNE_PAD = 1e-9
 
-# The same share for the bounds _MedoidSearch builds from float32 rows.
+# The same share for the bounds _FlatMedoidSearch builds from float32 rows.
 # Each term |f(d(s,j)) - f(d(s,x))| of such a bound errs by at most
 # 1.5 * 2**-22 * ecc (v = 2**-24 the float32 unit roundoff): each of the two
 # casts moves a distance of at most 2*ecc by up to 2*v*ecc, and the
@@ -202,8 +205,8 @@ _ROW_PAD = 1e-6
 # float64 arrays of its size at once.
 _BOUND_BLOCK = 1 << 18
 
-# Candidates whose bounds _MedoidSearch refreshes first in a round; each
-# further refresh takes twice as many as the one before.
+# Candidates per cluster whose bounds _FlatMedoidSearch refreshes first in a
+# round; each further refresh takes twice as many as the one before.
 _FIRST_REFRESH = 16
 
 
@@ -213,7 +216,7 @@ def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     triangle inequality, so at most x's distance sum.
 
     The gaps and their maxima are taken in the dtype of `rows` (float32 in
-    _MedoidSearch, see _ROW_PAD), each column's sum in float64. Built in
+    the medoid search, see _ROW_PAD), each column's sum in float64. Built in
     blocks of columns, so it holds at most about 2 * _BOUND_BLOCK elements
     at once, whatever the cluster size; each bound has the same bits in any
     block.
@@ -243,20 +246,25 @@ class _Layout:
         self.sizes = sizes
         self.starts = np.cumsum(sizes) - sizes
         self.cluster = np.repeat(np.arange(len(sizes)), sizes)
-        self.groups = []  # (block of flat positions, member count per block row)
-        order = np.argsort(-sizes, kind="stable")
+
+    @cached_property
+    def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(block of flat positions, member count per block row) per group."""
+        groups = []
+        order = np.argsort(-self.sizes, kind="stable")
+        halves = -2 * self.sizes[order]  # ascending
         first = 0
-        for i in range(1, len(order) + 1):
-            width = sizes[order[first]]
-            if (i < len(order) and 2 * sizes[order[i]] > width
-                    and (i + 1 - first) * width <= _BOUND_BLOCK // 8):
-                continue
-            counts = sizes[order[first:i]]
+        while first < len(order):
+            width = self.sizes[order[first]]
+            last = min(int(np.searchsorted(halves, -width)), first + _BOUND_BLOCK // 8 // width)
+            members = order[first:max(last, first + 1)]
+            counts = self.sizes[members]
             col = np.arange(width)
-            block = self.starts[order[first:i], None] + col
+            block = self.starts[members, None] + col
             block[col >= counts[:, None]] = len(self.cluster)
-            self.groups.append((block, counts))
-            first = i
+            groups.append((block, counts))
+            first += len(members)
+        return groups
 
 
 def _abs_sums(values: np.ndarray, layout: _Layout) -> np.ndarray:
@@ -293,112 +301,265 @@ def _first_max(values: np.ndarray, layout: _Layout) -> np.ndarray:
     return hits[np.searchsorted(hits, layout.starts)] - layout.starts
 
 
-class _MedoidSearch:
-    """Pruned exact medoid search of one cluster component from its fourth
-    row on (_first_rows evaluates the first three).
+def _padded_bounds(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                   candidates: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """_lower_bounds of several clusters in one call, with the same bits.
 
-    Each row is that of the open candidate with the smallest lower bound
-    (_lower_bounds over every evaluated row, ties to the smallest position).
-    Rows are kept as float32, so the bounds are padded by _ROW_PAD; row
-    totals come from the float64 rows. A candidate is pruned once its bound
-    exceeds the best sum (padded by `pad`); the search ends when no
-    candidate is open.
+    The members of cluster i are the sizes[i] columns of `rows` from
+    starts[i] on, its candidates the columns candidates[i, :picks[i]];
+    sizes must not increase. The last column of `rows` must be finite, as
+    it stands in for the padding. Returns the bounds in the layout of
+    `candidates`; past picks[i] they mean nothing.
+
+    Clusters go side by side into padded blocks, as _Layout groups them: a
+    block takes clusters while each keeps more than half of the first one's
+    size, so padding at most doubles the members, and holds about a quarter
+    of _BOUND_BLOCK elements (in the desk benchmark's refreshes that was
+    30% faster than the whole); a larger cluster is a block alone, built in
+    column blocks of at most _BOUND_BLOCK elements as _lower_bounds. The
+    gaps of padded members are set to zero before the float64 sum, which
+    keeps its bits because that sum is exact: every float32 gap is a
+    multiple of the float32 spacing g of the smallest nonzero row value d,
+    and a sum of at most c * 2 * ecc stays on that grid while it is below
+    2**53 * g, that is while c * ecc / d < 2**28 (for paper-scale clusters
+    about 870 * 60 mm / 0.5 mm). Beyond that a bound can differ from
+    _lower_bounds by its rounding, which the row pad covers.
+    """
+    r = len(rows)
+    n, k = candidates.shape
+    lower = np.empty((n, k))
+    halved = np.searchsorted(-2 * sizes, -sizes).tolist()  # first at most half as large
+    width, first, most = sizes.tolist(), starts.tolist(), picks.tolist()
+    a = 0
+    while a < n:
+        w = width[a]
+        k_step = min(k, max(1, _BOUND_BLOCK // (r * w)))
+        end = max(a + 1, min(halved[a], a + _BOUND_BLOCK // 4 // (r * k_step * w)))
+        these = slice(a, end)
+        # The member axis must be contiguous, and the subtraction's result
+        # in C order, for the ufuncs below to be fast: with the rows
+        # innermost, as fancy indexing lays them out, the max is about 20
+        # times slower.
+        padded = width[end - 1] < w
+        if end == a + 1:  # one cluster: a view of its own columns
+            member_rows = rows[:, None, None, first[a]:first[a] + w]
+        else:
+            columns = starts[these, None] + np.arange(w)
+            if padded:
+                real = np.arange(w) < sizes[these, None]
+                columns[~real] = -1
+                real = real[:, None, :].astype(rows.dtype)
+            member_rows = np.take(rows, columns, axis=1)[:, :, None, :]
+        picked = max(most[these])
+        for b in range(0, picked, k_step):
+            cut = slice(b, min(b + k_step, picked))
+            candidate_rows = np.take(rows, candidates[these, cut], axis=1)[..., None]
+            gap = np.subtract(candidate_rows, member_rows, order="C")
+            np.abs(gap, out=gap)
+            top = gap.max(axis=0)
+            del gap  # before the next block is built
+            if padded:
+                top *= real
+            lower[these, cut] = top.sum(axis=2, dtype=np.float64)
+        a = end
+    return lower
+
+
+def _totals(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per cluster, the sum of its slice of `values` (clusters side by side),
+    with the bits of values[a:a + c].sum(): a run of clusters of one size is
+    summed as the rows of one 2-D block, which keeps those bits. A block
+    zero-padded to a common width would not (np.add.reduceat would not
+    either), and a tie between two row totals decides a medoid."""
+    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+    totals = np.empty(len(sizes))
+    a = 0
+    for first, last in zip([0, *cuts], [*cuts, len(sizes)]):
+        c = int(sizes[first])
+        end = a + (last - first) * c
+        block = values[a:end]  # a run of one is summed alone, with less overhead
+        totals[first:last] = block.sum() if last - first == 1 else block.reshape(-1, c).sum(axis=1)
+        a = end
+    return totals
+
+
+class _FlatMedoidSearch:
+    """Pruned exact medoid search of every open cluster from its fourth row
+    on (_first_rows evaluates the first three), one lockstep round at a time.
+
+    The clusters lie side by side (a _Layout). Per cluster, each row is that
+    of the open candidate with the smallest lower bound (_lower_bounds over
+    every evaluated row, ties to the smallest position). Rows are kept as
+    float32, so the bounds are padded by the cluster's `pad`; row totals come
+    from the float64 rows (_totals). A candidate is pruned once its bound
+    exceeds its cluster's best sum plus the pad; a cluster is done when none
+    is left, and its medoid is the member with the best sum.
 
     Refresh is lazy and best-first. Each open candidate keeps the bound last
     computed for it (at first its pairwise two-row bound from _first_rows).
     A bound only grows as rows are added, so a stale one is still a lower
-    bound. Each round refreshes the candidates in order of their stale
-    bounds, _FIRST_REFRESH of them and then twice as many each time, until
-    the next stale bound exceeds the smallest fresh one m by more than the
-    pad, which covers the rounding of both. Every candidate left stale then
-    has a true bound above m, so the next row is the one a refresh of every
-    candidate would choose.
+    bound. Each round refreshes the candidates of every open cluster in
+    order of their stale bounds, _FIRST_REFRESH of them and then twice as
+    many each time, until the cluster's next stale bound exceeds its
+    smallest fresh one m by more than the pad, which covers the rounding of
+    both. Every candidate left stale then has a true bound above m, so the
+    next row is the one a refresh of every candidate would choose. Each step
+    is one _padded_bounds call per _Layout group, over every cluster that
+    still refreshes.
     """
 
-    def __init__(self, sel, rows, candidates, lower, best_sum, best, pad):
-        self.sel = sel            # the component's vertex ids, ascending
-        self.rows = rows          # float32: 3 evaluated rows, then free slots
-        self.evaluated = 3
-        self.open, self.lower = candidates, lower  # positions in sel, their last bounds
-        self.best_sum, self.best, self.pad = best_sum, best, pad
+    def __init__(self, keys, ids, sizes, rows, candidates, lower, best_sum, best, pad):
+        self.keys, self.ids = keys, ids  # per cluster, by size, largest first; per member
+        self.layout = _Layout(sizes)
+        # float32 rows of every member, then free rows; the last column is a
+        # zero column that the padding of the bound blocks points at
+        self.rows = np.zeros((2 * len(rows), len(ids) + 1), dtype=np.float32)
+        self.rows[:len(rows), :-1] = rows
+        self.evaluated = len(rows)
+        self.candidates, self.lower = candidates, lower  # ascending flat positions, last bounds
+        self.cluster = self.layout.cluster[candidates]
+        self.best_sum, self.best, self.pad = best_sum, best, pad  # per cluster; a position in it
+        self.live = np.arange(len(keys))  # the open clusters
+        self.columns = None  # flat positions of their members; None: every member
+        self.done = []  # (keys, medoids) of the clusters dropped from the layout
 
     def prune(self) -> bool:
-        """Keep the candidates whose bound could still win and choose the
-        next row (self.p, a position in sel); False if none is left."""
-        keep = self.lower <= self.best_sum + self.pad
-        candidates, lower = self.open[keep], self.lower[keep]
-        if not len(candidates):
+        """Keep the candidates whose bound could still win and choose each
+        open cluster's next row (self.at, an index into self.candidates per
+        open cluster); False once no cluster is open."""
+        n = len(self.keys)
+        keep = self.lower <= (self.best_sum + self.pad)[self.cluster]
+        candidates, lower, cluster = self.candidates[keep], self.lower[keep], self.cluster[keep]
+        count = np.bincount(cluster, minlength=n)
+        # Rank of each candidate in its cluster by stale bound. A cluster
+        # with at most _FIRST_REFRESH candidates refreshes them all at once,
+        # so only the others are sorted; the order of equal bounds does not
+        # change the row chosen.
+        rank = np.arange(len(cluster)) - (np.cumsum(count) - count)[cluster]
+        many = np.flatnonzero(count[cluster] > _FIRST_REFRESH)
+        if len(many):
+            by_bound = np.empty(len(many), dtype=np.int64)
+            by_bound[np.argsort(lower[many])] = np.arange(len(many))
+            rank[many[np.argsort(cluster[many] * len(many) + by_bound)]] = rank[many]
+        smallest = np.full(n, np.inf)
+        pick = np.flatnonzero(rank < _FIRST_REFRESH)
+        picks = np.minimum(count, _FIRST_REFRESH)
+        done, step = 0, _FIRST_REFRESH
+        while len(pick):
+            lower[pick] = self._refresh(candidates[pick], rank[pick] - done, picks)
+            np.minimum.at(smallest, cluster[pick], lower[pick])
+            done, step = done + step, 2 * step
+            following = np.flatnonzero(rank == done)  # each cluster's next stale bound
+            going = np.zeros(n, dtype=bool)
+            going[cluster[following]] = lower[following] <= (smallest + self.pad)[cluster[following]]
+            if going.any():
+                pick = np.flatnonzero((rank >= done) & (rank < done + step) & going[cluster])
+                picks = np.minimum(count - done, step) * going
+            else:
+                pick = pick[:0]
+        # A stale bound left exceeds m, so each open cluster's row is its
+        # first refreshed candidate with the bound m.
+        open_ = smallest <= self.best_sum + self.pad
+        live = np.flatnonzero(open_)
+        if len(live) < len(self.live):
+            keep = open_[cluster]
+            candidates, lower, cluster = candidates[keep], lower[keep], cluster[keep]
+        hits = np.flatnonzero(lower == smallest[cluster])
+        self.at = hits[np.searchsorted(hits, np.searchsorted(cluster, live))]
+        self.candidates, self.lower, self.cluster = candidates, lower, cluster
+        if not len(live):
             return False
-        rows = self.rows[:self.evaluated]
-        if len(candidates) <= _FIRST_REFRESH:
-            lower = _lower_bounds(rows, candidates)
-        else:
-            order = np.argsort(lower)
-            done, step, m = 0, _FIRST_REFRESH, np.inf
-            while done < len(order) and lower[order[done]] <= m + self.pad:
-                chunk = order[done:done + step]
-                fresh = lower[chunk] = _lower_bounds(rows, candidates[chunk])
-                m = min(m, fresh.min())
-                done += step
-                step *= 2
-        # Candidates stay in position order, and a stale bound left exceeds
-        # m, so this is the first refreshed candidate with the bound m.
-        at = int(np.argmin(lower))
-        if lower[at] > self.best_sum + self.pad:
-            return False
-        self.open, self.lower, self.at = candidates, lower, at
-        self.p = int(candidates[at])
+        if len(live) < len(self.live):
+            self.live = live
+            self.columns = np.flatnonzero(open_[self.layout.cluster])
+            if 2 * len(self.columns) <= len(self.ids):
+                self._drop_done()
         return True
 
-    @property
-    def vertex(self) -> int:
-        return int(self.sel[self.p])
+    def _refresh(self, candidates, slot, picks) -> np.ndarray:
+        """Fresh bounds of `candidates`, the picks[i] of cluster i in this
+        step in cluster order, each the slot-th of its cluster, from one
+        _padded_bounds call."""
+        clusters = np.flatnonzero(picks)
+        picks = picks[clusters]
+        line = np.repeat(np.arange(len(clusters)), picks)
+        columns = np.full((len(clusters), picks.max()), -1)  # the zero column
+        columns[line, slot] = candidates
+        bounds = _padded_bounds(self.rows[:self.evaluated], self.layout.starts[clusters],
+                                self.layout.sizes[clusters], columns, picks)
+        return bounds[line, slot]
 
-    def take(self, row: np.ndarray) -> bool:
-        """Take the row of the candidate at self.p (distances to sel) and
-        prune; False once the medoid is known."""
-        p = self.p
-        total = row.sum()
-        if total < self.best_sum or (total == self.best_sum and p < self.best):
-            self.best_sum, self.best = total, p
+    def _drop_done(self):
+        """Drop the clusters that are done from the layout and the rows."""
+        layout, live = self.layout, self.live
+        done = np.ones(len(self.keys), dtype=bool)
+        done[live] = False
+        self.done.append((self.keys[done], self.ids[layout.starts + self.best][done]))
+        self.rows = self.rows[:, np.append(self.columns, len(self.ids))]
+        self.ids = self.ids[self.columns]
+        self.keys, self.best_sum, self.best, self.pad = (
+            x[live] for x in (self.keys, self.best_sum, self.best, self.pad))
+        self.layout = _Layout(layout.sizes[live])
+        renumber = np.cumsum(~done) - 1
+        self.candidates = (self.candidates - layout.starts[self.cluster]
+                           + self.layout.starts[renumber[self.cluster]])
+        self.cluster = renumber[self.cluster]
+        self.live = np.arange(len(self.keys))
+        self.columns = None
+
+    @property
+    def sources(self) -> np.ndarray:
+        """The vertex of each open cluster's next row, in layout order."""
+        return self.ids[self.candidates[self.at]]
+
+    def take(self, field: np.ndarray) -> bool:
+        """Take each open cluster's next row from `field` (a sweep from
+        self.sources over the graph with the edges between clusters cut) and
+        prune; False once every medoid is known."""
+        live = self.live
+        row = field[self.ids if self.columns is None else self.ids[self.columns]]
+        total = _totals(row, self.layout.sizes[live])
+        p = self.candidates[self.at] - self.layout.starts[live]
+        best_sum, best = self.best_sum[live], self.best[live]
+        better = (total < best_sum) | ((total == best_sum) & (p < best))
+        self.best_sum[live[better]], self.best[live[better]] = total[better], p[better]
         if self.evaluated == len(self.rows):
-            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
-        self.rows[self.evaluated] = row
+            self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
+        self.rows[self.evaluated, slice(-1) if self.columns is None else self.columns] = row
         self.evaluated += 1
         self.lower[self.at] = np.inf  # no longer a candidate
         return self.prune()
 
-    @property
-    def medoid(self) -> int:
-        return int(self.sel[self.best])
+    def medoids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, medoid vertex ids) of every cluster, once none is open."""
+        done = [*self.done, (self.keys, self.ids[self.layout.starts + self.best])]
+        return np.concatenate([k for k, _ in done]), np.concatenate([m for _, m in done])
 
 
-def _first_rows(within: SurfaceGraph, keys: list[int], sels: list[np.ndarray],
-                row: np.ndarray, p: np.ndarray, medoids: list) -> dict[int, _MedoidSearch]:
+def _first_rows(within: SurfaceGraph, keys: np.ndarray, ids: np.ndarray, sizes: np.ndarray,
+                row: np.ndarray, p: np.ndarray, medoids: np.ndarray) -> _FlatMedoidSearch | None:
     """The first three rows of the medoid search of every cluster at once.
 
-    Cluster keys[i] has the component ids sels[i] (ascending); `row` holds
-    each one's first row, from its member at position p[i], cluster after
-    cluster. The second row is the member farthest from the first, the
-    third the member farthest from both; each is one sweep from every
+    Cluster keys[i] has sizes[i] members, side by side in `ids` (each
+    cluster's ascending); `row` holds each one's first row, from its member
+    at position p[i]. The second row is the member farthest from the first,
+    the third the member farthest from both; each is one sweep from every
     cluster still open. After each row the bounds of every member come from
     row-wise sorts (_abs_sums): the one-row bound, the two-row bound, then
-    the largest of the three pairwise two-row bounds, which each
-    _MedoidSearch takes as its candidates' first stale bounds. Row totals
-    are per-cluster sums of contiguous slices, as _MedoidSearch's.
+    the largest of the three pairwise two-row bounds, which the
+    _FlatMedoidSearch takes as its candidates' first stale bounds.
 
     Sets medoids[key] of each cluster whose search ends within three rows
-    and returns, by key, a _MedoidSearch carrying on each of the others.
+    and returns a _FlatMedoidSearch carrying on the others, or None.
     """
-    keys, ids = np.array(keys), np.concatenate(sels)
-    layout = _Layout(np.array([len(s) for s in sels]))
-    largest = 2 * layout.sizes * np.maximum.reduceat(row, layout.starts)  # 2 * c * ecc
+    layout = _Layout(sizes)
+    largest = 2 * sizes * np.maximum.reduceat(row, layout.starts)  # 2 * c * ecc
     best_sum, best = np.full(len(keys), np.inf), np.zeros(len(keys), dtype=np.int64)
     rows, pair = [], None
     open_ = np.ones(len(ids), dtype=bool)
     for r in range(3):
         rows.append(row)
-        total = np.array([row[a:a + c].sum() for a, c in zip(layout.starts, layout.sizes)])
+        total = _totals(row, layout.sizes)
         better = (total < best_sum) | ((total == best_sum) & (p < best))
         best_sum, best = np.where(better, total, best_sum), np.where(better, p, best)
         open_[layout.starts + p] = False
@@ -411,78 +572,68 @@ def _first_rows(within: SurfaceGraph, keys: list[int], sels: list[np.ndarray],
             np.maximum(lower, _pair_bounds(rows[1], row, layout), out=lower)
         open_ &= lower <= (best_sum + _PRUNE_PAD * largest)[layout.cluster]
         still = np.bincount(layout.cluster[open_], minlength=len(keys)) > 0
-        for j in np.flatnonzero(~still):
-            medoids[keys[j]] = int(ids[layout.starts[j] + best[j]])
-        if r == 2 or not still.any():
-            break
+        medoids[keys[~still]] = ids[layout.starts + best][~still]
         if not still.all():
             kept = still[layout.cluster]
-            keys, best_sum, best = keys[still], best_sum[still], best[still]
-            largest = largest[still]
-            ids, row, open_ = ids[kept], row[kept], open_[kept]
+            keys, best_sum, best, largest = keys[still], best_sum[still], best[still], largest[still]
+            ids, row, open_, lower = ids[kept], row[kept], open_[kept], lower[kept]
             rows = [x[kept] for x in rows]
             pair = pair[kept] if pair is not None else None
             layout = _Layout(layout.sizes[still])
+        if r == 2 or not len(keys):
+            break
         p = _first_max(row if r == 0 else np.minimum(rows[0], row), layout)
         row = _sweep(within, ids[layout.starts + p])[ids]
-
-    searches = {}
-    for j in np.flatnonzero(still):
-        a, c = layout.starts[j], layout.sizes[j]
-        evaluated = np.empty((4, c), dtype=np.float32)
-        evaluated[:3] = [x[a:a + c] for x in rows]
-        candidates = np.flatnonzero(open_[a:a + c])
-        search = _MedoidSearch(ids[a:a + c], evaluated, candidates, lower[a + candidates],
-                               best_sum[j], int(best[j]), _ROW_PAD * largest[j])
-        if search.prune():
-            searches[keys[j]] = search
-        else:
-            medoids[keys[j]] = search.medoid
-    return searches
+    if not len(keys):
+        return None
+    candidates = np.flatnonzero(open_)
+    return _FlatMedoidSearch(keys, ids, layout.sizes, np.array(rows, dtype=np.float32),
+                             candidates, lower[candidates], best_sum, best, _ROW_PAD * largest)
 
 
-def _medoids(graph: SurfaceGraph, assignment: np.ndarray, clusters: list[np.ndarray],
-             previous: list[int], dist: np.ndarray | None) -> list[int]:
+def _medoids(graph: SurfaceGraph, assignment: np.ndarray, order: np.ndarray, sizes: np.ndarray,
+             previous: np.ndarray, dist: np.ndarray | None) -> list[int]:
     """Exact medoids of all clusters, in lockstep: each round is one sweep
-    over the intra-cluster edges, with one source per still-open cluster."""
+    over the intra-cluster edges, with one source per still-open cluster.
+    Cluster i has sizes[i] members, side by side in `order`, each cluster's
+    ascending."""
     within = cut_graph(graph, assignment)
-    medoids: list[int | None] = [None] * len(clusters)
-    anchors, rows = {}, {}  # first row: from the previous centroid if the cluster holds it
-    for i, (ids, prev) in enumerate(zip(clusters, previous)):
-        where = int(np.searchsorted(ids, prev))
-        anchored = where < len(ids) and ids[where] == prev
-        if len(ids) == 1:
-            medoids[i] = int(ids[0])
-        elif anchored and dist is not None:
-            anchors[i], rows[i] = prev, dist[ids]
-        else:
-            anchors[i] = prev if anchored else int(ids[0])
-    unswept = [i for i in anchors if i not in rows]
-    if unswept:
-        field_ = _sweep(within, np.array([anchors[i] for i in unswept]))
-        rows.update((i, field_[clusters[i]]) for i in unswept)
-
-    keys, sels, firsts, positions = [], [], [], []
-    for i, anchor in anchors.items():
-        reached = np.isfinite(rows[i])
-        if anchor != previous[i] and not reached.all():
-            raise ValueError("disconnected cluster without its previous centroid")
-        sel = clusters[i][reached]
-        if len(sel) == 1:
-            medoids[i] = anchor
-        else:
-            keys.append(i)
-            sels.append(sel)
-            firsts.append(rows[i][reached])
-            positions.append(int(np.searchsorted(sel, anchor)))
-    searches = (_first_rows(within, keys, sels, np.concatenate(firsts), np.array(positions),
-                            medoids) if keys else {})
-    while searches:
-        field_ = _sweep(within, np.array([search.vertex for search in searches.values()]))
-        for i in list(searches):
-            if not searches[i].take(field_[searches[i].sel]):
-                medoids[i] = searches.pop(i).medoid
-    return medoids
+    starts = np.cumsum(sizes) - sizes
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    # First row: from the previous centroid if the cluster holds it.
+    anchored = np.bincount(cluster[order == previous[cluster]], minlength=len(sizes)) > 0
+    anchors = np.where(anchored, previous, order[starts])
+    medoids = anchors.copy()  # the medoid of a cluster with one reachable member
+    many = sizes > 1
+    swept = many & ~anchored if dist is not None else many
+    row = dist[order] if dist is not None else np.empty(len(order))
+    if swept.any():
+        mine = swept[cluster]
+        row[mine] = _sweep(within, anchors[swept])[order[mine]]
+    reached = many[cluster] & np.isfinite(row)
+    cut_off = np.bincount(cluster[many[cluster] & ~reached], minlength=len(sizes)) > 0
+    if np.any(cut_off & ~anchored):
+        raise ValueError("disconnected cluster without its previous centroid")
+    counts = np.bincount(cluster[reached], minlength=len(sizes))
+    # The searched clusters, largest first, so that equal sizes lie side by
+    # side (_totals).
+    keys = np.flatnonzero(counts > 1)
+    keys = keys[np.argsort(-counts[keys], kind="stable")]
+    if len(keys):
+        place = np.full(len(sizes), len(keys))
+        place[keys] = np.arange(len(keys))
+        flat = np.flatnonzero(reached)
+        flat = flat[np.argsort(place[cluster[flat]], kind="stable")][:counts[keys].sum()]
+        ids = order[flat]
+        p = np.flatnonzero(ids == anchors[cluster[flat]]) - (np.cumsum(counts[keys]) - counts[keys])
+        search = _first_rows(within, keys, ids, counts[keys], row[flat], p, medoids)
+        if search is not None:
+            going = search.prune()
+            while going:
+                going = search.take(_sweep(within, search.sources))
+            done, found = search.medoids()
+            medoids[done] = found
+    return medoids.tolist()
 
 
 def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
@@ -491,7 +642,7 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
 
     The medoid minimizes the sum of geodesic distances within the cluster's
     induced subgraph; ties go to the smallest vertex index. It comes from a
-    pruned search (_first_rows, then _MedoidSearch) over rows from the
+    pruned search (_first_rows, then _FlatMedoidSearch) over rows from the
     previous centroid, two far members and the candidates whose lower bound
     could still win.
     All clusters search at once: every round is one sweep over the graph
@@ -517,8 +668,7 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
     if not sizes.all():
         raise ValueError(f"cluster {int(np.argmin(sizes))} is empty")
     order = members[np.argsort(assignment[members], kind="stable")]
-    clusters = np.split(order, np.cumsum(sizes)[:-1])
-    return _medoids(graph, assignment, clusters, [int(c) for c in centroids], dist)
+    return _medoids(graph, assignment, order, sizes, np.asarray(centroids, dtype=np.int64), dist)
 
 
 def max_centroid_shift_mm(old: list[int], new: list[int], graph: SurfaceGraph) -> float:

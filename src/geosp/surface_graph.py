@@ -172,13 +172,18 @@ def cut_graph(graph: SurfaceGraph, labels) -> SurfaceGraph:
 
 
 def _check_sources(graph: SurfaceGraph, sources) -> np.ndarray:
-    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    given = np.asarray(sources).reshape(-1)
     n = graph.vertex_count
-    if not len(src):
+    if not len(given):
         raise ValueError("source list is empty")
-    bad = src[(src < 0) | (src >= n)]
+    if given.dtype.kind == "f":  # a cast to int64 would truncate
+        fraction = given[given != np.trunc(given)]  # NaN too
+        if len(fraction):
+            raise ValueError(f"source vertex {fraction[0]} is not a whole number")
+    bad = given[(given < 0) | (given >= n)]
     if len(bad):
         raise ValueError(f"source vertex {bad[0]} out of range [0, {n})")
+    src = given.astype(np.int64)
     if len(np.unique(src)) != len(src):
         raise ValueError("duplicate sources are not allowed")
     return src
@@ -279,8 +284,12 @@ def sssp(graph: SurfaceGraph, source, bound=None) -> DistanceField:
     src = _check_sources(graph, source)
     if bound is not None:
         bound = np.asarray(bound, dtype=np.float64)
+        if bound.ndim != 1:
+            raise ValueError(f"bound must be 1-D, not of shape {bound.shape}")
         if len(bound) != graph.vertex_count:
             raise ValueError(f"bound has {len(bound)} entries for {graph.vertex_count} vertices")
+        if not np.all(bound >= 0):  # also refuses NaN
+            raise ValueError("bound entries must be distances >= 0 (inf where unreached)")
     return DistanceField(tuple(src.tolist()), _sweep(graph, src, bound))
 
 

@@ -99,12 +99,12 @@ def cluster_medoid(graph: SurfaceGraph, ids, previous_centroid: int, dist=None) 
 
 
 class EagerMedoidSearch:
-    """Reference for kmeans._MedoidSearch: the same search from the fourth
-    row on, but every round rebuilds the bound of every open candidate from
-    every evaluated row with the same float32 kernel (kmeans._lower_bounds)
-    and takes the first smallest. It keeps no bound between rounds and
-    ignores the stale bounds it is given. Same constructor and methods, so
-    it can stand in for kmeans._MedoidSearch."""
+    """Per-cluster reference for kmeans._FlatMedoidSearch: the same search
+    of one cluster from the fourth row on, but every round rebuilds the
+    bound of every open candidate from every evaluated row with the same
+    float32 kernel (kmeans._lower_bounds) and takes the first smallest. It
+    keeps no bound between rounds and ignores the stale bounds it is given.
+    EagerMedoidSearches runs one per cluster."""
 
     def __init__(self, sel, rows, candidates, lower, best_sum, best, pad):
         self.sel, self.rows, self.open = sel, [r.astype(np.float32) for r in rows[:3]], candidates
@@ -134,3 +134,32 @@ class EagerMedoidSearch:
     @property
     def medoid(self) -> int:
         return int(self.sel[self.best])
+
+
+class EagerMedoidSearches:
+    """Stands in for kmeans._FlatMedoidSearch (same constructor and
+    methods): one EagerMedoidSearch per cluster, each from its cluster's
+    share of the same start state, cluster after cluster."""
+
+    def __init__(self, keys, ids, sizes, rows, candidates, lower, best_sum, best, pad):
+        self.keys, self.searches = keys, []
+        for i, (start, size) in enumerate(zip(np.cumsum(sizes) - sizes, sizes)):
+            mine = (candidates >= start) & (candidates < start + size)
+            self.searches.append(EagerMedoidSearch(
+                ids[start:start + size], rows[:, start:start + size], candidates[mine] - start,
+                lower[mine], best_sum[i], int(best[i]), pad[i]))
+
+    def prune(self) -> bool:
+        self.open = [search for search in self.searches if search.prune()]
+        return bool(self.open)
+
+    @property
+    def sources(self) -> np.ndarray:
+        return np.array([search.vertex for search in self.open])
+
+    def take(self, field: np.ndarray) -> bool:
+        self.open = [search for search in self.open if search.take(field[search.sel])]
+        return bool(self.open)
+
+    def medoids(self):
+        return self.keys, np.array([search.medoid for search in self.searches])

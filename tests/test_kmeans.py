@@ -6,15 +6,16 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from geosp import (KmeansConfig, TriangleMesh, bridge_graph, build_graph, calc_groups,
-                   comp_centroids, concat_meshes, dumbbell_mesh, grid_mesh, icosphere_mesh,
-                   multi_source_sssp, perturb_weights, sssp, stop_criterion, wave_sheet_mesh)
+from geosp import (Block, KmeansConfig, TriangleMesh, atlas_mesh, bridge_graph, build_graph,
+                   calc_groups, comp_centroids, concat_meshes, cut_graph, dumbbell_mesh, grid_mesh,
+                   icosphere_mesh, kmeanspp_init, multi_source_sssp, perturb_weights, sssp,
+                   stop_criterion, wave_sheet_mesh)
 from geosp import kmeans
 from geosp.kmeans import max_centroid_shift_mm
 from geosp.oracles import oracle_medoid, oracle_sssp
 from geosp.surface_graph import SurfaceGraph, induced_subgraph
 
-from helpers import (MESH_KINDS, EagerMedoidSearch, bumpy_grid_graph, bumpy_grid_mesh,
+from helpers import (MESH_KINDS, EagerMedoidSearches, bumpy_grid_graph, bumpy_grid_mesh,
                      cluster_medoid, irregular_mesh, kmeans_alone, path_graph, seeds_alone)
 
 DUMBBELL_PATCH = 16  # vertices per blob of the default dumbbell
@@ -398,11 +399,11 @@ def test_medoid_ties_on_an_integer_grid_go_to_smallest_index(shape, weights):
     for previous in (0, nx - 1, g.vertex_count - 1, expected):
         assert cluster_medoid(g, members, previous) == expected
         # Tied stale bounds: the lazy refresh still takes the rows of a full one.
-        eager = _medoid_sources(g, one, [previous], None, EagerMedoidSearch)
+        eager = _medoid_sources(g, one, [previous], None, EagerMedoidSearches)
         for first_refresh in (1, 16):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kmeans, "_FIRST_REFRESH", first_refresh)
-                assert _medoid_sources(g, one, [previous], None, kmeans._MedoidSearch) == eager
+                assert _medoid_sources(g, one, [previous], None, kmeans._FlatMedoidSearch) == eager
 
 
 def _bound_rows(kind, sizes, rng):
@@ -467,26 +468,30 @@ def test_lockstep_medoids_of_many_clusters_equal_oracle(seed, kind, k):
 def test_refresh_goes_on_through_stale_bounds_tied_with_the_smallest(monkeypatch):
     monkeypatch.setattr(kmeans, "_FIRST_REFRESH", 1)
     c = 41
-    # Four copies of the row 0..40: the fresh bound of x is sum_j |j - x|,
+
+    def search(rows, stale, best_sum):  # one cluster, candidates 1..40
+        return kmeans._FlatMedoidSearch(np.array([0]), np.arange(c), np.array([c]), rows,
+                                        np.arange(1, c), stale, np.array([best_sum]),
+                                        np.array([0]), np.array([1e-6]))
+
+    # Three copies of the row 0..40: the fresh bound of x is sum_j |j - x|,
     # 420 at x = 20 and more elsewhere. x = 20's stale bound sorts first; the
     # others' stale bounds tie with its fresh one, so they must be refreshed.
-    stale = np.full(c - 1, 420.0)  # candidates 1..40
+    stale = np.full(c - 1, 420.0)
     stale[19] = 0.0
-    search = kmeans._MedoidSearch(np.arange(c), np.tile(np.arange(c, dtype=np.float32), (4, 1)),
-                                  np.arange(1, c), stale, 820.0, 0, 1e-6)
-    assert search.prune() and search.p == 20
+    flat = search(np.tile(np.arange(c, dtype=np.float32), (3, 1)), stale, 820.0)
+    assert flat.prune() and flat.sources.tolist() == [20]
     # Every fresh bound is 0 and the last candidate sorts first: the row
     # goes to the smallest position.
     stale = np.zeros(c - 1)
     stale[-1] = -1.0
-    search = kmeans._MedoidSearch(np.arange(c), np.ones((4, c), dtype=np.float32),
-                                  np.arange(1, c), stale, 1.0, 0, 1e-6)
-    assert search.prune() and search.p == 1
+    flat = search(np.ones((3, c), dtype=np.float32), stale, 1.0)
+    assert flat.prune() and flat.sources.tolist() == [1]
 
 
 def _medoid_sources(graph, assignment, centroids, dist, search):
-    """comp_centroids with `search` as kmeans._MedoidSearch: the medoids and
-    the sources of every medoid sweep, round by round."""
+    """comp_centroids with `search` as kmeans._FlatMedoidSearch: the medoids
+    and the sources of every medoid sweep, round by round."""
     sources = []
     original = kmeans._sweep
 
@@ -496,7 +501,7 @@ def _medoid_sources(graph, assignment, centroids, dist, search):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kmeans, "_sweep", recording)
-        patch.setattr(kmeans, "_MedoidSearch", search)
+        patch.setattr(kmeans, "_FlatMedoidSearch", search)
         medoids = comp_centroids(graph, assignment, centroids, dist)
     return medoids, sources
 
@@ -518,8 +523,79 @@ def test_lazy_refresh_evaluates_the_rows_of_a_full_refresh(seed, kind, k, first_
     dist = multi_source_sssp(g, centroids).dist
     with pytest.MonkeyPatch.context() as patch:  # smaller first refreshes: more of them
         patch.setattr(kmeans, "_FIRST_REFRESH", first_refresh)
-        lazy = _medoid_sources(g, assignment, centroids, dist, kmeans._MedoidSearch)
-    assert lazy == _medoid_sources(g, assignment, centroids, dist, EagerMedoidSearch)
+        lazy = _medoid_sources(g, assignment, centroids, dist, kmeans._FlatMedoidSearch)
+    assert lazy == _medoid_sources(g, assignment, centroids, dist, EagerMedoidSearches)
+
+
+def test_flat_search_of_350_atlas_clusters_equals_the_per_cluster_reference(monkeypatch):
+    # 70 desk atlas regions at k=5: 350 clusters of varied size, so one
+    # refresh step spans several _Layout groups and pads both members and
+    # candidates, and some clusters need a second refresh step.
+    mesh, regions, _ = atlas_mesh(100, 98)
+    g = cut_graph(build_graph(mesh), regions)
+    blocks = [Block(np.flatnonzero(regions == r), KmeansConfig(k=5, rng_seed=r)) for r in range(70)]
+    centroids = np.concatenate(kmeanspp_init(g, blocks))
+    assignment, _, dist = kmeans._assign_blocks(g, centroids, [b.ids for b in blocks], [5] * 70)
+    steps = []  # refresh steps of each prune
+    prune, refresh = kmeans._FlatMedoidSearch.prune, kmeans._FlatMedoidSearch._refresh
+
+    def counting_prune(self):
+        steps.append(0)
+        return prune(self)
+
+    def counting_refresh(self, *args):
+        steps[-1] += 1
+        return refresh(self, *args)
+
+    monkeypatch.setattr(kmeans._FlatMedoidSearch, "prune", counting_prune)
+    monkeypatch.setattr(kmeans._FlatMedoidSearch, "_refresh", counting_refresh)
+    flat = _medoid_sources(g, assignment, centroids.tolist(), dist, kmeans._FlatMedoidSearch)
+    assert max(steps) >= 2
+    assert flat == _medoid_sources(g, assignment, centroids.tolist(), dist, EagerMedoidSearches)
+    sizes = np.bincount(assignment)
+    assert len(sizes) == 350 and sizes.max() > 2 * sizes.min()
+    for i, c in enumerate(centroids):
+        assert flat[0][i] == oracle_medoid(g, np.flatnonzero(assignment == i), previous_centroid=c)
+
+
+@pytest.mark.parametrize("block", [kmeans._BOUND_BLOCK, 1 << 24])
+@pytest.mark.parametrize("chunk", [1, 16, 64])
+@pytest.mark.parametrize("sizes, evaluated", [([20000, 13001, 10001], 4),
+                                              ([900, 870, 600, 451, 451, 450], 7),
+                                              ([57, 57, 56, 40, 33, 30, 29], 12)])
+def test_padded_bounds_equal_per_cluster_bounds_bit_for_bit(monkeypatch, block, chunk, sizes,
+                                                           evaluated):
+    # One padded group: every cluster keeps more than half of the widest,
+    # so the members pad up to twice over; candidates pad to the most of
+    # any cluster. The larger block puts the large clusters side by side
+    # too. Rows are distances as medoid rows hold them, 0.5 to 120 mm and
+    # a zero at the source, as float32.
+    monkeypatch.setattr(kmeans, "_BOUND_BLOCK", block)
+    rng = np.random.default_rng(chunk * len(sizes))
+    sizes = np.array(sizes)  # largest first, as the medoid search lays clusters out
+    starts = np.cumsum(sizes) - sizes
+    rows = rng.uniform(0.5, 120, size=(evaluated, sizes.sum() + 1)).astype(np.float32)
+    rows[:, starts] = 0.0
+    rows[:, -1] = 0.0  # what the padding points at
+    picks = np.minimum(sizes, np.maximum(1, chunk >> np.arange(len(sizes))))
+    candidates = np.full((len(sizes), picks.max()), -1)
+    for i, (a, c, k) in enumerate(zip(starts, sizes, picks)):
+        candidates[i, :k] = a + np.sort(rng.choice(c, size=k, replace=False))
+    got = kmeans._padded_bounds(rows, starts, sizes, candidates, picks)
+    for i, (a, c, k) in enumerate(zip(starts, sizes, picks)):
+        alone = kmeans._lower_bounds(rows[:, a:a + c], candidates[i, :k] - a)
+        assert got[i, :k].tobytes() == alone.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([2, 3, 7, 8, 9, 57, 128, 129, 300, 1000]), min_size=1, max_size=40))
+def test_row_totals_have_the_bits_of_slice_sums(seed, sizes):
+    sizes = np.sort(sizes)[::-1]  # clusters of one size side by side
+    values = 10.0 ** np.random.default_rng(seed).uniform(-3, 3, size=sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    alone = np.array([values[a:a + c].sum() for a, c in zip(starts, sizes)])
+    assert kmeans._totals(values, sizes).tobytes() == alone.tobytes()
 
 
 def test_medoid_memory_follows_the_member_count():

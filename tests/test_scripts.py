@@ -36,14 +36,14 @@ def test_runtime_trend_prints_one_row_per_k():
 def test_paper_scale_prints_time_memory_and_digest_per_configuration():
     lines = _run("paper_scale.py", "--nx", "20", "--ny", "21")
     assert lines[0] == "mesh: 840 vertices, 70 regions"
-    assert lines[1].split() == ["config", "wall", "[s]", "peak", "RSS", "[MB]", "sub_parcel",
-                                "sha256"]
+    assert lines[1].split() == ["config", "wall", "[s]", "peak", "RSS", "[MB]", "medoid", "rows",
+                                "sub_parcel", "sha256"]
     assert [line.split()[:2] for line in lines[2:]] == [["atlas", "k=5"], ["whole", "k=175"]]
     for line in lines[2:]:
-        wall, peak, digest = line.split()[2:]
-        assert float(wall) > 0 and float(peak) > 0 and len(digest) == 64
+        wall, peak, rows, digest = line.split()[2:]
+        assert float(wall) > 0 and float(peak) > 0 and int(rows) > 0 and len(digest) == 64
     for config, row in (("atlas", lines[2]), ("whole", lines[3])):
         alone = _run("paper_scale.py", "--nx", "20", "--ny", "21", "--config", config)
         assert alone[:2] == lines[:2] and len(alone) == 3
         assert alone[2].split()[:2] == row.split()[:2]
-        assert alone[2].split()[-1] == row.split()[-1]  # the same sub_parcel
+        assert alone[2].split()[-2:] == row.split()[-2:]  # the same medoid rows and sub_parcel

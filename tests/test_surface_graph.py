@@ -239,6 +239,22 @@ def test_bounded_sssp_rejects_wrong_length():
         sssp(path_graph(3), 0, np.zeros(2))
 
 
+@pytest.mark.parametrize("entry", [np.nan, -1.0, -np.inf])
+def test_bounded_sssp_rejects_nan_and_negative_entries(entry):
+    g = build_graph(grid_mesh(4, 4))
+    bound = np.full(g.vertex_count, np.inf)
+    bound[5] = entry
+    with pytest.raises(ValueError, match="bound entries"):
+        sssp(g, 0, bound)
+
+
+def test_bounded_sssp_rejects_a_bound_that_is_not_1d():
+    g = build_graph(grid_mesh(4, 4))
+    for bound in (np.full((g.vertex_count, 1), np.inf), np.float64(np.inf)):
+        with pytest.raises(ValueError, match="1-D"):
+            sssp(g, 0, bound)
+
+
 # -- the kernel against the heap Dijkstra ---------------------------------------
 
 
@@ -361,6 +377,28 @@ def test_multi_source_input_validation():
         multi_source_sssp(g, [1, 1])
     with pytest.raises(ValueError, match="out of range"):
         multi_source_sssp(g, [9])
+
+
+def test_sources_must_be_whole_numbers():
+    g = build_graph(grid_mesh(4, 4))
+    for call, sources in ((sssp, 1.7), (sssp, np.nan), (multi_source_sssp, [0.2, 5.9]),
+                          (multi_source_sssp, np.array([3.0, 0.5]))):
+        with pytest.raises(ValueError, match="whole number"):
+            call(g, sources)
+    with pytest.raises(ValueError, match="out of range"):
+        sssp(g, np.inf)
+
+
+def test_integer_sources_of_any_kind_are_accepted():
+    g = build_graph(grid_mesh(4, 4))
+    expected = multi_source_sssp(g, [0, 5])
+    for sources in ([np.int32(0), np.uint8(5)], np.array([0, 5], dtype=np.uint16),
+                    np.array([0.0, 5.0]), (0, 5)):
+        field = multi_source_sssp(g, sources)
+        assert field.sources == (0, 5)
+        assert field.dist.tobytes() == expected.dist.tobytes()
+        assert field.nearest_source.tobytes() == expected.nearest_source.tobytes()
+    assert sssp(g, np.int64(3)).dist.tobytes() == sssp(g, 3).dist.tobytes()
 
 
 # -- all pairs ---------------------------------------------------------------
