@@ -209,6 +209,11 @@ _BOUND_BLOCK = 1 << 18
 # round; each further refresh takes twice as many as the one before.
 _FIRST_REFRESH = 16
 
+# Rows _FlatMedoidSearch makes room for at first, then twice as many each
+# time they run out (a paper-scale atlas or whole-mode search needs up to
+# about 25). Room that no row has been written to takes no memory.
+_ROW_ROOM = 32
+
 
 def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """For each candidate x in `cols`: sum over members j of max over
@@ -387,13 +392,15 @@ class _FlatMedoidSearch:
     """Pruned exact medoid search of every open cluster from its fourth row
     on (_first_rows evaluates the first three), one lockstep round at a time.
 
-    The clusters lie side by side (a _Layout). Per cluster, each row is that
-    of the open candidate with the smallest lower bound (_lower_bounds over
-    every evaluated row, ties to the smallest position). Rows are kept as
-    float32, so the bounds are padded by the cluster's `pad`; row totals come
-    from the float64 rows (_totals). A candidate is pruned once its bound
-    exceeds its cluster's best sum plus the pad; a cluster is done when none
-    is left, and its medoid is the member with the best sum.
+    The clusters lie side by side, largest first, in flat member arrays;
+    the float32 rows hold one column per member. Per cluster, each row is
+    that of the open candidate with the smallest lower bound (_lower_bounds
+    over every evaluated row, ties to the smallest position). As the rows
+    are float32, the bounds are padded by the cluster's `pad`; row totals
+    come from the float64 rows (_totals). A candidate is pruned once its
+    bound exceeds its cluster's best sum plus the pad; a cluster is done
+    when none is left, and its medoid is the member with the best sum. Once
+    the clusters that are done hold half the columns, they are dropped.
 
     Refresh is lazy and best-first. Each open candidate keeps the bound last
     computed for it (at first its pairwise two-row bound from _first_rows).
@@ -404,20 +411,22 @@ class _FlatMedoidSearch:
     smallest fresh one m by more than the pad, which covers the rounding of
     both. Every candidate left stale then has a true bound above m, so the
     next row is the one a refresh of every candidate would choose. Each step
-    is one _padded_bounds call per _Layout group, over every cluster that
-    still refreshes.
+    is one _padded_bounds call over every cluster that still refreshes.
     """
 
     def __init__(self, keys, ids, sizes, rows, candidates, lower, best_sum, best, pad):
         self.keys, self.ids = keys, ids  # per cluster, by size, largest first; per member
-        self.layout = _Layout(sizes)
-        # float32 rows of every member, then free rows; the last column is a
-        # zero column that the padding of the bound blocks points at
-        self.rows = np.zeros((2 * len(rows), len(ids) + 1), dtype=np.float32)
-        self.rows[:len(rows), :-1] = rows
+        self.sizes, self.starts = sizes, np.cumsum(sizes) - sizes
+        # float32 rows of every member, then room for more, in one buffer;
+        # the last column holds zeros that the padding of the bound blocks
+        # points at
+        self.buffer = np.empty(_ROW_ROOM * (len(ids) + 1), dtype=np.float32)
+        self.rows = self.buffer.reshape(_ROW_ROOM, -1)
+        for s, row in enumerate(rows):
+            self.rows[s, :-1], self.rows[s, -1] = row, 0
         self.evaluated = len(rows)
         self.candidates, self.lower = candidates, lower  # ascending flat positions, last bounds
-        self.cluster = self.layout.cluster[candidates]
+        self.cluster = np.searchsorted(self.starts, candidates, side="right") - 1
         self.best_sum, self.best, self.pad = best_sum, best, pad  # per cluster; a position in it
         self.live = np.arange(len(keys))  # the open clusters
         self.columns = None  # flat positions of their members; None: every member
@@ -471,9 +480,9 @@ class _FlatMedoidSearch:
             return False
         if len(live) < len(self.live):
             self.live = live
-            self.columns = np.flatnonzero(open_[self.layout.cluster])
+            self.columns = np.flatnonzero(np.repeat(open_, self.sizes))
             if 2 * len(self.columns) <= len(self.ids):
-                self._drop_done()
+                self._resize(len(self.rows))
         return True
 
     def _refresh(self, candidates, slot, picks) -> np.ndarray:
@@ -485,27 +494,42 @@ class _FlatMedoidSearch:
         line = np.repeat(np.arange(len(clusters)), picks)
         columns = np.full((len(clusters), picks.max()), -1)  # the zero column
         columns[line, slot] = candidates
-        bounds = _padded_bounds(self.rows[:self.evaluated], self.layout.starts[clusters],
-                                self.layout.sizes[clusters], columns, picks)
+        bounds = _padded_bounds(self.rows[:self.evaluated], self.starts[clusters],
+                                self.sizes[clusters], columns, picks)
         return bounds[line, slot]
 
-    def _drop_done(self):
-        """Drop the clusters that are done from the layout and the rows."""
-        layout, live = self.layout, self.live
-        done = np.ones(len(self.keys), dtype=bool)
-        done[live] = False
-        self.done.append((self.keys[done], self.ids[layout.starts + self.best][done]))
-        self.rows = self.rows[:, np.append(self.columns, len(self.ids))]
-        self.ids = self.ids[self.columns]
-        self.keys, self.best_sum, self.best, self.pad = (
-            x[live] for x in (self.keys, self.best_sum, self.best, self.pad))
-        self.layout = _Layout(layout.sizes[live])
-        renumber = np.cumsum(~done) - 1
-        self.candidates = (self.candidates - layout.starts[self.cluster]
-                           + self.layout.starts[renumber[self.cluster]])
-        self.cluster = renumber[self.cluster]
-        self.live = np.arange(len(self.keys))
-        self.columns = None
+    def _resize(self, capacity: int):
+        """Drop the clusters that are done from the layout, and their
+        columns from the rows in place, then make room for at least
+        `capacity` rows, in a larger buffer only if this one cannot hold
+        them. Keeping one buffer matters: replacing it at each drop grew the
+        peak RSS at 304k vertices by 13 MB or more, as freed large blocks
+        raise the size from which the C allocator maps memory apart."""
+        if self.columns is not None:
+            live, starts = self.live, self.starts
+            done = np.ones(len(self.keys), dtype=bool)
+            done[live] = False
+            self.done.append((self.keys[done], self.ids[starts + self.best][done]))
+            kept = np.append(self.columns, len(self.ids))  # with the zero column
+            rows = self.buffer[:len(self.buffer) // len(kept) * len(kept)].reshape(-1, len(kept))
+            for s in range(self.evaluated):  # each row moves left of where it was
+                rows[s] = self.rows[s, kept]
+            self.rows = rows
+            self.ids = self.ids[self.columns]
+            self.keys, self.sizes, self.best_sum, self.best, self.pad = (
+                x[live] for x in (self.keys, self.sizes, self.best_sum, self.best, self.pad))
+            self.starts = np.cumsum(self.sizes) - self.sizes
+            renumber = np.cumsum(~done) - 1
+            self.candidates = (self.candidates - starts[self.cluster]
+                               + self.starts[renumber[self.cluster]])
+            self.cluster = renumber[self.cluster]
+            self.live = np.arange(len(self.keys))
+            self.columns = None
+        if capacity > len(self.rows):
+            self.buffer = np.empty(capacity * self.rows.shape[1], dtype=np.float32)
+            rows = self.buffer.reshape(capacity, -1)
+            rows[:self.evaluated] = self.rows[:self.evaluated]
+            self.rows = rows
 
     @property
     def sources(self) -> np.ndarray:
@@ -518,21 +542,22 @@ class _FlatMedoidSearch:
         prune; False once every medoid is known."""
         live = self.live
         row = field[self.ids if self.columns is None else self.ids[self.columns]]
-        total = _totals(row, self.layout.sizes[live])
-        p = self.candidates[self.at] - self.layout.starts[live]
+        total = _totals(row, self.sizes[live])
+        p = self.candidates[self.at] - self.starts[live]
         best_sum, best = self.best_sum[live], self.best[live]
         better = (total < best_sum) | ((total == best_sum) & (p < best))
         self.best_sum[live[better]], self.best[live[better]] = total[better], p[better]
         if self.evaluated == len(self.rows):
-            self.rows = np.concatenate([self.rows, np.zeros_like(self.rows)])
+            self._resize(2 * len(self.rows))
         self.rows[self.evaluated, slice(-1) if self.columns is None else self.columns] = row
+        self.rows[self.evaluated, -1] = 0
         self.evaluated += 1
         self.lower[self.at] = np.inf  # no longer a candidate
         return self.prune()
 
     def medoids(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys, medoid vertex ids) of every cluster, once none is open."""
-        done = [*self.done, (self.keys, self.ids[self.layout.starts + self.best])]
+        done = [*self.done, (self.keys, self.ids[self.starts + self.best])]
         return np.concatenate([k for k, _ in done]), np.concatenate([m for _, m in done])
 
 
@@ -587,8 +612,8 @@ def _first_rows(within: SurfaceGraph, keys: np.ndarray, ids: np.ndarray, sizes: 
     if not len(keys):
         return None
     candidates = np.flatnonzero(open_)
-    return _FlatMedoidSearch(keys, ids, layout.sizes, np.array(rows, dtype=np.float32),
-                             candidates, lower[candidates], best_sum, best, _ROW_PAD * largest)
+    return _FlatMedoidSearch(keys, ids, layout.sizes, rows, candidates, lower[candidates],
+                             best_sum, best, _ROW_PAD * largest)
 
 
 def _medoids(graph: SurfaceGraph, assignment: np.ndarray, order: np.ndarray, sizes: np.ndarray,
@@ -627,6 +652,7 @@ def _medoids(graph: SurfaceGraph, assignment: np.ndarray, order: np.ndarray, siz
         ids = order[flat]
         p = np.flatnonzero(ids == anchors[cluster[flat]]) - (np.cumsum(counts[keys]) - counts[keys])
         search = _first_rows(within, keys, ids, counts[keys], row[flat], p, medoids)
+        del cluster, row, reached, flat, ids
         if search is not None:
             going = search.prune()
             while going:

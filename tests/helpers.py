@@ -146,8 +146,8 @@ class EagerMedoidSearches:
         for i, (start, size) in enumerate(zip(np.cumsum(sizes) - sizes, sizes)):
             mine = (candidates >= start) & (candidates < start + size)
             self.searches.append(EagerMedoidSearch(
-                ids[start:start + size], rows[:, start:start + size], candidates[mine] - start,
-                lower[mine], best_sum[i], int(best[i]), pad[i]))
+                ids[start:start + size], [row[start:start + size] for row in rows],
+                candidates[mine] - start, lower[mine], best_sum[i], int(best[i]), pad[i]))
 
     def prune(self) -> bool:
         self.open = [search for search in self.searches if search.prune()]
