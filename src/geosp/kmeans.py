@@ -211,7 +211,8 @@ _FIRST_REFRESH = 16
 
 # Rows _FlatMedoidSearch makes room for at first, then twice as many each
 # time they run out (a paper-scale atlas or whole-mode search needs up to
-# about 25). Room that no row has been written to takes no memory.
+# about 25). Room no row was written to stays out of the resident set when
+# the buffer is large enough to be mapped apart, as it is at paper scale.
 _ROW_ROOM = 32
 
 
@@ -640,8 +641,8 @@ def _medoids(graph: SurfaceGraph, assignment: np.ndarray, order: np.ndarray, siz
     if np.any(cut_off & ~anchored):
         raise ValueError("disconnected cluster without its previous centroid")
     counts = np.bincount(cluster[reached], minlength=len(sizes))
-    # The searched clusters, largest first, so that equal sizes lie side by
-    # side (_totals).
+    # The searched clusters, largest first, as _totals and _padded_bounds
+    # want them.
     keys = np.flatnonzero(counts > 1)
     keys = keys[np.argsort(-counts[keys], kind="stable")]
     if len(keys):
@@ -652,7 +653,6 @@ def _medoids(graph: SurfaceGraph, assignment: np.ndarray, order: np.ndarray, siz
         ids = order[flat]
         p = np.flatnonzero(ids == anchors[cluster[flat]]) - (np.cumsum(counts[keys]) - counts[keys])
         search = _first_rows(within, keys, ids, counts[keys], row[flat], p, medoids)
-        del cluster, row, reached, flat, ids
         if search is not None:
             going = search.prune()
             while going:
