@@ -320,16 +320,17 @@ def _padded_bounds(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
     Clusters go side by side into padded blocks, as _Layout groups them: a
     block takes clusters while each keeps more than half of the first one's
     size, so padding at most doubles the members, and holds about a quarter
-    of _BOUND_BLOCK elements (in the desk benchmark's refreshes that was
-    30% faster than the whole); a larger cluster is a block alone, built in
-    column blocks of at most _BOUND_BLOCK elements as _lower_bounds. The
-    gaps of padded members are set to zero before the float64 sum, which
-    keeps its bits because that sum is exact: every float32 gap is a
-    multiple of the float32 spacing g of the smallest nonzero row value d,
-    and a sum of at most c * 2 * ecc stays on that grid while it is below
-    2**53 * g, that is while c * ecc / d < 2**28 (for paper-scale clusters
-    about 870 * 60 mm / 0.5 mm). Beyond that a bound can differ from
-    _lower_bounds by its rounding, which the row pad covers.
+    of _BOUND_BLOCK elements (in the desk benchmark's refreshes that took a
+    quarter less time than the whole); a larger cluster is a block alone,
+    built in column blocks of at most _BOUND_BLOCK elements as
+    _lower_bounds. The gaps of padded members are set to zero before the
+    float64 sum, which keeps its bits because that sum is exact: every
+    float32 gap is a multiple of the float32 spacing g of the smallest
+    nonzero row value d, and a sum of at most c * 2 * ecc stays on that
+    grid while it is below 2**53 * g, that is while c * ecc / d < 2**28
+    (for paper-scale clusters about 870 * 60 mm / 0.5 mm). Beyond that a
+    bound can differ from _lower_bounds by its rounding, which the row pad
+    covers.
     """
     r = len(rows)
     n, k = candidates.shape
