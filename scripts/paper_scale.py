@@ -7,16 +7,19 @@ vertices, about a FreeSurfer white-surface pair) with a fixed uniform
 k=5 per region (70 regions, 350 sub-parcels) and whole mode with k=175 per
 hemisphere, both with base seed 7 and 1 worker (`--config atlas` or
 `--config whole` runs one of them alone). Each configuration runs in a
-fresh process. For each, the script prints the wall time of the
-parcellation, the peak RSS of its process (mesh building included), the
-number of medoid rows (the sources of every `kmeans._sweep`, one distance
-row each) and the sha256 of `sub_parcel`, so two versions of geosp can be
-compared for speed, for the rows their medoid searches evaluate and for
-identical output.
+fresh process. For each, the script prints the wall time and the process
+CPU time of the parcellation (CPU time varies less between runs on a shared
+host), the wall time of writing `parcellation.txt` and `parcellation.ply`
+into a temporary directory, the peak RSS of its process (mesh building and
+writing included), the number of medoid rows (the sources of every
+`kmeans._sweep`, one distance row each) and the sha256 of `sub_parcel`, so
+two versions of geosp can be compared for speed, for the rows their medoid
+searches evaluate and for identical output.
 """
 import argparse
 import hashlib
 import resource
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -24,7 +27,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from geosp import (AtlasPlan, KmeansConfig, TriangleMesh, atlas_mesh, kmeans,
-                   parcellate_atlas_mode, parcellate_whole_mode)
+                   parcellate_atlas_mode, parcellate_whole_mode, write_parcellation)
 
 CONFIGS = {"atlas k=5": ("atlas", 5), "whole k=175": ("whole", 175)}
 
@@ -36,9 +39,9 @@ def jittered_atlas(nx: int, ny: int):
     return TriangleMesh(vertices, mesh.triangles), regions, hemis
 
 
-def run(mode: str, k: int, nx: int, ny: int) -> tuple[float, float, int, str]:
-    """(wall seconds, peak RSS in MB, medoid rows, sub_parcel sha256) of one
-    configuration."""
+def run(mode: str, k: int, nx: int, ny: int) -> tuple[float, float, float, float, int, str]:
+    """(wall seconds, CPU seconds, write seconds, peak RSS in MB, medoid
+    rows, sub_parcel sha256) of one configuration."""
     mesh, regions, hemis = jittered_atlas(nx, ny)
     config = KmeansConfig(k=1, rng_seed=7)
     rows = 0
@@ -51,17 +54,21 @@ def run(mode: str, k: int, nx: int, ny: int) -> tuple[float, float, int, str]:
 
     kmeans._sweep = counting
     try:
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         if mode == "atlas":
             result = parcellate_atlas_mode(mesh, regions, AtlasPlan.uniform(regions, k), config)
         else:
             result = parcellate_whole_mode(mesh, hemis, k, config)
-        wall = time.perf_counter() - t0
+        wall, cpu = time.perf_counter() - t0, time.process_time() - c0
     finally:
         kmeans._sweep = sweep
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        write_parcellation(f"{out}/parcellation", result.parcellation, mesh)
+        write = time.perf_counter() - t0
     sub_parcel = np.ascontiguousarray(result.parcellation.sub_parcel, dtype=np.int64)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return wall, peak_mb, rows, hashlib.sha256(sub_parcel.tobytes()).hexdigest()
+    return wall, cpu, write, peak_mb, rows, hashlib.sha256(sub_parcel.tobytes()).hexdigest()
 
 
 def main():
@@ -73,15 +80,17 @@ def main():
     args = ap.parse_args()
 
     print(f"mesh: {2 * args.nx * args.ny} vertices, 70 regions")
-    print(f"{'config':<12} {'wall [s]':>9} {'peak RSS [MB]':>14} {'medoid rows':>12}"
-          "  sub_parcel sha256")
+    print(f"{'config':<12} {'wall [s]':>9} {'cpu [s]':>8} {'write [s]':>10} {'peak RSS [MB]':>14}"
+          f" {'medoid rows':>12}  sub_parcel sha256")
     for name, (mode, k) in CONFIGS.items():
         if args.config not in (None, mode):
             continue
         # A fresh process per configuration, so each peak RSS is its own.
         with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-            wall, peak_mb, rows, digest = pool.submit(run, mode, k, args.nx, args.ny).result()
-        print(f"{name:<12} {wall:>9.2f} {peak_mb:>14.1f} {rows:>12}  {digest}", flush=True)
+            wall, cpu, write, peak_mb, rows, digest = pool.submit(
+                run, mode, k, args.nx, args.ny).result()
+        print(f"{name:<12} {wall:>9.2f} {cpu:>8.2f} {write:>10.4f} {peak_mb:>14.1f} {rows:>12}"
+              f"  {digest}", flush=True)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .mesh_io import (_FLOAT_CHARS, _INT64_LIMITS, READ_BLOCK_LINES, FormatError, TriangleMesh,
-                      _block_bytes, _first, _format_rows, _parse_numbers, _read_rows,
-                      _significant_lines, _token_starts, _write_text)
+                      _block_bytes, _first, _parse_numbers, _read_rows, _significant_lines,
+                      _token_starts, _write_rows)
 
 # Blocks keep the temporaries near 1 MB: endpoints whose grid cells are
 # looked up together, and about how many (endpoint, vertex) distances one
@@ -390,8 +390,11 @@ def format_dice_report(result: PairwiseDice) -> str:
 def save_matrix(path, matrix: np.ndarray) -> None:
     """Text matrix: first line P, then P rows of space-separated integers."""
     m = np.asarray(matrix, dtype=np.int64)
-    row_format = " ".join(["%d"] * m.shape[1]) + "\n"
-    _write_text(path, [f"{m.shape[0]}\n"], _format_rows(row_format, m))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square and 2-D, got shape {m.shape}")
+    with open(path, "wb") as f:
+        f.write(f"{len(m)}\n".encode())
+        _write_rows(f, m)
 
 
 def load_matrix(path) -> np.ndarray:

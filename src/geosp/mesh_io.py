@@ -2,7 +2,9 @@
 
 Only the ASCII variants of OFF and PLY are accepted; binary files are rejected.
 Coordinates are serialized with 6 decimal places, label files are one base-10
-integer per line with LF terminators.
+integer per line with LF terminators. Numeric blocks are read by `_read_rows`
+and written by `_write_rows`, which formats whole blocks in numpy with the
+bytes of per-number '%d' and '%.6f'.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from .util import splitmix64
 
 COORD_FORMAT = "%.6f"
 PALETTE_SIZE = 512
-WRITE_BLOCK_ROWS = 4096
 
 
 class FormatError(ValueError):
@@ -368,33 +369,99 @@ def write_mesh(path, mesh: TriangleMesh, fmt: str | None = None,
         raise ValueError(f"unknown mesh format {fmt!r} (expected 'off' or 'ply')")
 
 
-def _format_rows(line_format: str, *arrays: np.ndarray):
-    """Yield `line_format % row` over the rows of 2-D arrays laid side by side,
-    joined WRITE_BLOCK_ROWS lines at a time.
+# -- writing numeric rows -----------------------------------------------------------
+#
+# `_write_rows` writes every numeric block (vertex, colour and face rows, labels,
+# matrix rows) a block of rows at a time, with numpy only: each field becomes a
+# right-aligned row of ASCII bytes with 0 bytes in front, separators and LFs are
+# bytes of the same matrix, and one boolean mask drops the 0 bytes. The bytes
+# are those of per-field '%d' and '%.6f'.
+#
+# '%.6f' prints N / 10**6, where N is the exact value t = |x| * 10**6 rounded
+# to the nearest integer, ties to even. The product y = fl(t) is off by at most
+# half an ulp: |y - t| <= 2**-53 * y, plus 2**-1075 if y is subnormal. For
+# y < 2**52, y - floor(y) is exact, and so is its distance h from 1/2 wherever
+# h is small (Sterbenz). Where h > y * 2**-49 + 2**-40, which exceeds
+# |y - t| with room for its own rounding, t and y lie strictly between the
+# same two half-way points, so rint(y) = N. The test fails for every
+# y >= 2**48 (there the bound is at least 1/2) and for nan and inf, so N fits
+# uint64. The sign is signbit(x), as '%.6f' prints '-0.000000' for -0.0 and
+# -1e-9 too. Every other element (a near-tie, a large value, nan, inf) is
+# printed by Python's own '%.6f', one by one.
 
-    Each row is a tuple of Python scalars, so every line costs one `%`; the
-    blocks keep a writer's transient memory small.
-    """
-    for start in range(0, len(arrays[0]), WRITE_BLOCK_ROWS):
-        columns = [c for a in arrays for c in a[start:start + WRITE_BLOCK_ROWS].T.tolist()]
-        yield "".join(map(line_format.__mod__, zip(*columns)))
+WRITE_BLOCK_ROWS = 4096
+WRITE_BLOCK_FIELDS = 1 << 15  # with WRITE_BLOCK_ROWS, keeps a block's temporaries under 2 MB
+_POINT = 6  # digits after the point in COORD_FORMAT
 
 
-def _write_text(path, *parts) -> None:
-    """Write the strings of each part, part after part, as UTF-8 with LF line ends."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for part in parts:
-            f.writelines(part)
+def _fields(values: np.ndarray) -> np.ndarray:
+    """(n, c, w + 1) uint8: each element of the (n, c) int64 or float64 array
+    `values` as '%d' or COORD_FORMAT prints it, right-aligned after 0 bytes,
+    then a space."""
+    point = _POINT if values.dtype.kind == "f" else 0
+    slow, texts = (), []  # elements that Python's own '%.6f' prints
+    if point:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are not exact
+            scaled = np.abs(values) * 10.0 ** point
+            exact = np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0 ** -49 + 2.0 ** -40
+        mag = np.rint(np.where(exact, scaled, 0.0)).astype(np.uint64)
+        negative = np.signbit(values) & exact
+        slow = np.flatnonzero(~exact)
+        texts = [COORD_FORMAT % v for v in values.reshape(-1)[slow].tolist()]
+    else:
+        mag = values.astype(np.uint64)  # two's complement: -mag is exact for INT64_MIN too
+        negative = values < 0
+        np.negative(mag, out=mag, where=negative)
+    digits = max(len(str(mag.max(initial=0))), point + 1)
+    has_sign = bool(negative.any())
+    width = max([has_sign + digits + (point > 0), *map(len, texts)])
+    out = np.zeros(mag.shape + (width + 1,), dtype=np.uint8)
+    out[..., width] = ord(" ")
+    if point:
+        out[..., width - 1 - point] = ord(".")
+    q = mag
+    for j in range(digits):
+        column = out[..., width - 1 - j - (point > 0 and j >= point)]
+        rest = q // 10
+        np.subtract(q, rest * 10, out=column, casting="unsafe")
+        column += ord("0")
+        if j > point:  # the last point + 1 digits always print
+            column *= q > 0
+        q = rest
+    flat = out.reshape(-1, width + 1)
+    if has_sign:  # '-' on the last 0 byte before the digits
+        at = np.flatnonzero(negative)
+        flat[at, np.argmax(flat[at] != 0, axis=1) - 1] = ord("-")
+    for at, text in zip(slow, texts):
+        flat[at, :width] = 0
+        flat[at, width - len(text):width] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return out
 
 
-_XYZ_FORMAT = " ".join([COORD_FORMAT] * 3)
-_FACE_FORMAT = "3 %d %d %d\n"
+def _write_rows(file, *arrays: np.ndarray, prefix: bytes = b"") -> None:
+    """Write one line per row of the 2-D int64 or float64 arrays laid side by
+    side (one column at least) to the binary `file`: `prefix`, then every
+    element as `_fields` prints it, space-separated, then LF. Blocks hold at
+    most WRITE_BLOCK_ROWS rows and WRITE_BLOCK_FIELDS fields."""
+    fields = max(1, sum(a.shape[1] for a in arrays))  # a P = 0 matrix has no column
+    step = max(1, min(WRITE_BLOCK_ROWS, WRITE_BLOCK_FIELDS // fields))
+    lead = np.frombuffer(prefix, dtype=np.uint8)
+    for start in range(0, len(arrays[0]), step):
+        parts = [_fields(a[start:start + step]) for a in arrays]
+        rows = len(parts[0])
+        parts = [p.reshape(rows, -1) for p in parts]
+        parts[-1][:, -1] = ord("\n")
+        if prefix:
+            parts.insert(0, np.broadcast_to(lead, (rows, len(lead))))
+        block = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+        file.write(block[block != 0])
 
 
 def _write_off(path: Path, mesh: TriangleMesh) -> None:
-    _write_text(path, [f"OFF\n{mesh.vertex_count} {mesh.triangle_count} 0\n"],
-                _format_rows(_XYZ_FORMAT + "\n", mesh.vertices),
-                _format_rows(_FACE_FORMAT, mesh.triangles))
+    with open(path, "wb") as f:
+        f.write(f"OFF\n{mesh.vertex_count} {mesh.triangle_count} 0\n".encode())
+        _write_rows(f, mesh.vertices)
+        _write_rows(f, mesh.triangles, prefix=b"3 ")
 
 
 def _write_ply(path: Path, mesh: TriangleMesh, colors: np.ndarray | None) -> None:
@@ -408,12 +475,10 @@ def _write_ply(path: Path, mesh: TriangleMesh, colors: np.ndarray | None) -> Non
         header += ["property uchar red", "property uchar green", "property uchar blue"]
     header += [f"element face {mesh.triangle_count}",
                "property list uchar int vertex_indices", "end_header"]
-    if colors is None:
-        vertex_lines = _format_rows(_XYZ_FORMAT + "\n", mesh.vertices)
-    else:
-        vertex_lines = _format_rows(_XYZ_FORMAT + " %d %d %d\n", mesh.vertices, colors)
-    _write_text(path, ["\n".join(header) + "\n"], vertex_lines,
-                _format_rows(_FACE_FORMAT, mesh.triangles))
+    with open(path, "wb") as f:
+        f.write(("\n".join(header) + "\n").encode())
+        _write_rows(f, mesh.vertices, *([] if colors is None else [colors]))
+        _write_rows(f, mesh.triangles, prefix=b"3 ")
 
 
 def _non_negative(rows, lines):
@@ -434,8 +499,13 @@ def load_labels(path, expected_count: int | None = None) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
+    """Write one label per line; raises ValueError on a negative label, which
+    `load_labels` would reject."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1, 1)
-    _write_text(path, _format_rows("%d\n", labels))
+    if labels.size and labels.min() < 0:
+        raise ValueError(f"labels must be non-negative, got {labels.min()}")
+    with open(path, "wb") as f:
+        _write_rows(f, labels)
 
 
 def _build_palette() -> np.ndarray:
@@ -464,7 +534,8 @@ def write_parcellation(prefix, parcellation, mesh: TriangleMesh) -> tuple[Path, 
     """Write <prefix>.txt (one sub-parcel id per vertex) and <prefix>.ply (colored mesh).
 
     Vertex colors come from the fixed hash palette, so equal ids always get
-    equal colors and output bytes are identical across runs.
+    equal colors and output bytes are identical across runs. A negative id
+    raises ValueError before any file is written.
     """
     sub = np.asarray(getattr(parcellation, "sub_parcel", parcellation), dtype=np.int64)
     if len(sub) != mesh.vertex_count:

@@ -361,6 +361,14 @@ def test_matrix_roundtrip(tmp_path):
     np.testing.assert_array_equal(load_matrix(p), m)
 
 
+@pytest.mark.parametrize("matrix", [np.arange(3), np.zeros((2, 3), dtype=int), np.int64(4),
+                                    np.zeros((2, 2, 2), dtype=int)])
+def test_save_matrix_rejects_what_load_matrix_would(tmp_path, matrix):
+    with pytest.raises(ValueError, match="square"):
+        save_matrix(tmp_path / "m.txt", matrix)
+    assert not (tmp_path / "m.txt").exists()
+
+
 @pytest.mark.parametrize("text,line", [
     ("", 1),
     ("x\n", 1),

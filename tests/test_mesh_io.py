@@ -1,3 +1,6 @@
+import io
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,3 +324,86 @@ def test_writer_bytes_equal_per_row_formatting(tmp_path, monkeypatch, block_rows
         save_matrix(tmp_path / "x.txt", m)
         want = f"{p}\n" + "".join(" ".join(str(x) for x in row) + "\n" for row in m)
         assert (tmp_path / "x.txt").read_bytes() == want.encode()
+
+
+_INT64 = np.iinfo(np.int64)
+_ints = st.one_of(st.integers(_INT64.min, _INT64.max),
+                  st.sampled_from([_INT64.min, _INT64.max, _INT64.min + 1, -1, 0, 9, 10]))
+_floats = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**12, 10**12).map(lambda m: (m + 0.5) * 1e-6),  # half-way values
+    st.sampled_from([0.0, -0.0, -1e-9, 5e-7, -5e-7, 2.0**52 / 1e6, -(2.0**52) / 1e6,
+                     4503599627.370497, 1e300, -1e300, np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 12), int_cols=st.integers(0, 4), float_cols=st.integers(0, 4),
+       prefix=st.sampled_from([b"", b"3 "]), block_rows=st.sampled_from([1, 7, 4096]),
+       block_fields=st.sampled_from([1, 5, 1 << 15]), data=st.data())
+def test_formatter_bytes_equal_per_element_formatting(rows, int_cols, float_cols, prefix,
+                                                      block_rows, block_fields, data):
+    """`_write_rows` writes what per-element '%d' and '%.6f' write, whichever
+    path (digit matrix or Python fallback) an element takes, in blocks of any
+    size."""
+    arrays = []
+    if float_cols:
+        arrays.append(np.array(data.draw(st.lists(st.lists(_floats, min_size=float_cols,
+                                                           max_size=float_cols),
+                                                  min_size=rows, max_size=rows)),
+                               dtype=np.float64).reshape(rows, float_cols))
+    if int_cols or not arrays:  # a line holds one field at least; a 0 x 0 matrix no line
+        int_cols = max(int_cols, int(rows > 0))
+        arrays.append(np.array(data.draw(st.lists(st.lists(_ints, min_size=int_cols,
+                                                           max_size=int_cols),
+                                                  min_size=rows, max_size=rows)),
+                               dtype=np.int64).reshape(rows, int_cols))
+    want = b"".join(
+        prefix + " ".join(["%.6f" % v if isinstance(v, float) else "%d" % v
+                           for a in arrays for v in a[r].tolist()]).encode() + b"\n"
+        for r in range(rows))
+    out = io.BytesIO()
+    with (patch.object(mesh_io, "WRITE_BLOCK_ROWS", block_rows),
+          patch.object(mesh_io, "WRITE_BLOCK_FIELDS", block_fields)):
+        mesh_io._write_rows(out, *arrays, prefix=prefix)
+    assert out.getvalue() == want
+
+
+def test_formatter_takes_the_fast_path_away_from_ties():
+    """Only near-ties, huge and non-finite coordinates go to Python's '%.6f'."""
+    fast = [-0.0, -1e-9, 12.25, -7.0000004, 4503.599627]
+    slow = [0.1234565, -1.5e-6, 1e300, np.nan, 2.0**52]  # two near-ties, y >= 2**52, nan
+    values = np.array([fast + slow])
+    calls = []
+    with patch.object(mesh_io, "COORD_FORMAT", _CountingFormat(calls)):
+        fields = mesh_io._fields(values)
+    assert calls == ["%.6f" % v for v in slow]
+    assert bytes(fields[fields != 0]).decode().split() == ["%.6f" % v for v in fast + slow]
+
+
+class _CountingFormat(str):
+    """'%.6f' that records what it prints."""
+
+    def __new__(cls, calls):
+        self = super().__new__(cls, "%.6f")
+        self.calls = calls
+        return self
+
+    def __mod__(self, value):
+        text = str.__mod__(self, value)
+        self.calls.append(text)
+        return text
+
+
+def test_write_labels_rejects_negative_labels(tmp_path):
+    with pytest.raises(ValueError, match="non-negative"):
+        write_labels(tmp_path / "l.txt", [0, 3, -1])
+    assert not (tmp_path / "l.txt").exists()
+
+
+def test_write_parcellation_rejects_negative_ids(tmp_path):
+    mesh = right_triangle_mesh()
+    with pytest.raises(ValueError, match="non-negative"):
+        write_parcellation(tmp_path / "p", [0, -2, 1], mesh)
+    assert list(tmp_path.iterdir()) == []
