@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh_io import (_FLOAT_CHARS, _INT64_LIMITS, READ_BLOCK_LINES, FormatError, TriangleMesh,
-                      _block_bytes, _first, _parse_numbers, _read_rows, _significant_lines,
-                      _token_starts, _write_rows)
+from .mesh_io import (_FLOAT_CHARS, _INT64_LIMITS, _SPACES, FormatError, TriangleMesh, _first,
+                      _floats, _ints, _Lines, _read_rows, _spread, _tokens, _width_per_line,
+                      _write_rows)
 
 # Blocks keep the temporaries near 1 MB: endpoints whose grid cells are
 # looked up together, and about how many (endpoint, vertex) distances one
@@ -36,6 +36,7 @@ _SAMPLED_TRIANGLES = 4096
 # much as scanning all N contiguously, and a miss would go on to a coarser grid.
 _BRUTE_FORCE_SHARE = 4
 _BRUTE_FORCE = -2
+_WRITE_FIBERS = 1 << 14  # fibers formatted per write
 
 
 def _squared_norms(d: np.ndarray) -> np.ndarray:
@@ -236,13 +237,14 @@ class Fibers(Sequence):
         return zip(ends, ends)
 
 
-def _fibers_from_pairs(fibers, vertex_count: int) -> Fibers:
+def _fibers_from_pairs(fibers, vertex_count: int | None = None) -> Fibers:
     """A list of (a, b) endpoint pairs as Fibers, each endpoint checked.
 
     An endpoint is a vertex index (an integer; integral floats are accepted,
-    bools and fractions are not; checked against [0, vertex_count) before any
-    cast) or a 3D point.
+    bools and fractions are not; checked against [0, vertex_count), or the
+    int64 range when vertex_count is None, before any cast) or a 3D point.
     """
+    low, high = _INT64_LIMITS if vertex_count is None else (0, vertex_count - 1)
     fibers = list(fibers)
     sizes = np.fromiter(map(len, fibers), dtype=np.int64, count=len(fibers))
     if np.any(sizes != 2):
@@ -269,7 +271,7 @@ def _fibers_from_pairs(fibers, vertex_count: int) -> Fibers:
         else:
             is_point |= mask
             continue
-        outside = (ids < 0) | (ids >= vertex_count)
+        outside = (ids < low) | (ids > high)
         if outside.any():
             raise ValueError(f"fiber endpoint vertex {ends[mask][outside][0]} out of range")
         vertex[mask] = ids.astype(np.int64)
@@ -398,33 +400,46 @@ def save_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a `save_matrix` file."""
+    """Read a `save_matrix` file; lines after the P rows must be blank."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    text = _Lines(path)
+    if not len(text):
         raise FormatError(path, 1, "empty matrix file")
     try:
-        p = int(lines[0].strip())
+        p = int(text.line(0))
     except ValueError:
         raise FormatError(path, 1, "first line must be the matrix size P") from None
     if p < 0:
         raise FormatError(path, 1, f"matrix size must be non-negative, got {p}")
-    if len(lines) < p + 1:
-        raise FormatError(path, len(lines) + 1, f"expected {p} matrix rows, got {len(lines) - 1}")
-    return _read_rows(path, range(2, p + 2), lines[1:p + 1], p, int, f"{p} integer entries")
+    if len(text) < p + 1:
+        raise FormatError(path, len(text) + 1, f"expected {p} matrix rows, got {len(text) - 1}")
+    matrix = _read_rows(text, 1, p + 1, p, int, f"{p} integer entries")
+    row = text.first_text(p + 1)
+    if row is not None:
+        raise FormatError(path, text.number(row),
+                          f"unexpected trailing content: {text.line(row)!r}")
+    return matrix
 
 
 def write_fibers(path, fibers) -> None:
-    """One fiber per line: 'v:i v:j' for vertex endpoints, 'p:x,y,z' for points."""
+    """One fiber per line: 'v:i v:j' for vertex endpoints, 'p:x,y,z' for
+    points with repr digits, so `load_fibers` reads back the same bits.
 
-    def fmt(endpoint) -> str:
-        if np.isscalar(endpoint) or isinstance(endpoint, (int, np.integer)):
-            return f"v:{int(endpoint)}"
-        x, y, z = (float(c) for c in np.asarray(endpoint, dtype=np.float64).reshape(3))
-        return f"p:{x!r},{y!r},{z!r}"
-
-    lines = (f"{fmt(a)} {fmt(b)}\n" for a, b in fibers)
-    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
+    `fibers` is a `Fibers` or a sequence of (a, b) endpoint pairs, checked as
+    `build_connectivity_matrix` checks them but with any int64 vertex index.
+    Lines are formatted from the arrays, _WRITE_FIBERS fibers at a time.
+    """
+    if not isinstance(fibers, Fibers):
+        fibers = _fibers_from_pairs(fibers)
+    point_row = np.cumsum(fibers.is_point) - fibers.is_point  # row in `points` of each endpoint
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for start in range(0, len(fibers.is_point), 2 * _WRITE_FIBERS):
+            stop = start + 2 * _WRITE_FIBERS
+            is_point = fibers.is_point[start:stop]
+            ends = np.array(["v:%d" % v for v in fibers.vertex[start:stop].tolist()], dtype=object)
+            xyz = fibers.points[point_row[start:stop][is_point]].tolist()
+            ends[is_point] = ["p:%r,%r,%r" % tuple(p) for p in xyz]
+            f.write("".join(a + " " + b + "\n" for a, b in zip(ends[0::2], ends[1::2])))
 
 
 def _parse_endpoint(path, no: int, token: str):
@@ -448,36 +463,50 @@ def _parse_endpoint(path, no: int, token: str):
     raise FormatError(path, no, f"endpoint must start with 'v:' or 'p:', got {token!r}")
 
 
-def _fiber_arrays(lines) -> tuple | None:
-    """(is_point, vertex, points) of plain 'v:i' / 'p:x,y,z' lines, parsed in
-    two np.fromstring passes (vertex ids, point coordinates); None when the
-    caller must parse line by line (see the bulk pass in mesh_io)."""
-    block = _block_bytes(lines, _FLOAT_CHARS + b"vp:,")
-    starts = None if block is None else _token_starts(block, 2)
-    if starts is None:
+def _fiber_rows(text: bytes, line_ends: np.ndarray) -> tuple | None:
+    """(is_point, vertex, points) of lines of plain 'v:i' / 'p:x,y,z' tokens
+    that end at `line_ends`, parsed in one bulk pass for the vertex ids and
+    one for the coordinates; None when the caller must parse them line by line
+    (see the bulk pass in mesh_io)."""
+    if text.translate(None, _FLOAT_CHARS + _SPACES + b"\nvp:,"):
         return None
-    kind = block[starts]
+    u = np.frombuffer(text, dtype=np.uint8)
+    starts, stops = _tokens(u)
+    if not _width_per_line(starts, stops, line_ends, 2):
+        return None
+    kind = u[starts]
     is_point = kind == ord("p")
-    # Every token opens with 'v:' or 'p:'; a 'v', 'p' or ':' anywhere else
-    # stops a number pass below.
-    if not np.all(is_point | (kind == ord("v"))) or not np.all(block[starts + 1] == ord(":")):
+    if not np.all(is_point | (kind == ord("v"))) or not np.all(u[starts + 1] == ord(":")):
         return None
-    numbers = block.copy()
+    numbers = u.copy()
     numbers[starts] = numbers[starts + 1] = ord(" ")
+    if numbers.tobytes().translate(None, _FLOAT_CHARS + _SPACES + b"\n,"):
+        return None  # a 'v', 'p' or ':' that does not open an endpoint
+    starts += 2
+    # Each point endpoint holds two commas between three non-empty fields,
+    # and no comma lies elsewhere: pairs of commas in order fall in the point
+    # endpoints in order.
     commas = np.flatnonzero(numbers == ord(","))
-    token_of_comma = np.searchsorted(starts, commas, side="right") - 1
-    per_token = np.bincount(token_of_comma, minlength=len(starts))
-    if not np.array_equal(per_token, 2 * is_point):  # 'x,y,z': fields then come in threes
+    p_starts, p_stops = starts[is_point], stops[is_point]
+    if len(commas) != 2 * len(p_starts):
+        return None
+    first, second = commas[0::2], commas[1::2]
+    if not np.all((p_starts < first) & (first + 1 < second) & (second + 1 < p_stops)):
+        return None
+    if np.any(stops[~is_point] == starts[~is_point]):  # 'v:' alone
         return None
     numbers[commas] = ord(" ")
     # Blank the other kind's characters, so each pass reads one kind of number.
-    in_point = np.repeat(np.r_[False, is_point], np.diff(starts, prepend=0, append=len(numbers)))
-    blank = np.uint8(ord(" "))
-    n_points = int(is_point.sum())
-    ids = (_parse_numbers(np.where(in_point, blank, numbers), int, len(starts) - n_points)
-           if n_points < len(starts) else [])
-    coords = (_parse_numbers(np.where(in_point, numbers, blank), float, 3 * n_points)
-              if n_points else np.empty(0))
+    v_starts, v_stops = starts[~is_point], stops[~is_point]
+    ids, coords = np.empty(0, dtype=np.int64), np.empty(0)
+    if len(v_starts):
+        text = numbers.copy() if len(p_starts) else numbers
+        text[_spread(p_starts, p_stops)] = ord(" ")
+        ids = _ints(text.tobytes(), len(v_starts))
+    if len(p_starts):
+        numbers[_spread(v_starts, v_stops)] = ord(" ")
+        coords = _floats(numbers.tobytes(), np.column_stack([p_starts, first + 1, second + 1]).ravel(),
+                         np.column_stack([first, second, p_stops]).ravel())
     if ids is None or coords is None:
         return None
     vertex = np.zeros(len(starts), dtype=np.int64)
@@ -485,40 +514,36 @@ def _fiber_arrays(lines) -> tuple | None:
     return is_point, vertex, coords.reshape(-1, 3)
 
 
-def _fibers_in_bulk(lines) -> Fibers | None:
-    """Fibers of plain lines, parsed READ_BLOCK_LINES lines at a time; None
-    when the caller must parse line by line."""
-    parts = []
-    for start in range(0, len(lines), READ_BLOCK_LINES):
-        part = _fiber_arrays(lines[start:start + READ_BLOCK_LINES])
-        if part is None:
-            return None
-        parts.append(part)
-    if not parts:
-        return Fibers([], [], [])
-    return Fibers(*(np.concatenate(arrays) for arrays in zip(*parts)))
+def _fiber_lines(text: _Lines, a: int, b: int) -> tuple:
+    """(is_point, vertex, points) of lines [a, b) of `text`, parsed one by one;
+    raises FormatError at the first bad line."""
+    ends = []
+    for row in range(a, b):
+        no, tokens = text.number(row), text.line(row).split()
+        if len(tokens) != 2:
+            raise FormatError(text.path, no, f"expected two endpoints per line, got {len(tokens)}")
+        ends += [_parse_endpoint(text.path, no, token) for token in tokens]
+    is_point = [isinstance(e, np.ndarray) for e in ends]
+    vertex = [0 if p else e for p, e in zip(is_point, ends)]
+    points = [e for p, e in zip(is_point, ends) if p]
+    return (np.array(is_point, dtype=bool), np.array(vertex, dtype=np.int64),
+            np.array(points, dtype=np.float64).reshape(-1, 3))
 
 
 def load_fibers(path) -> Fibers:
     """Read a `write_fibers` file (blank lines and # comments are skipped).
 
-    Plain files are parsed in bulk; any other file line by line, which
+    The file is read as bytes, a block of lines of about 256 KB at a time. A
+    plain block is parsed in bulk: one np.fromstring for its vertex ids and
+    the exact float parse of mesh_io for its coordinates, which gives the bits
+    of Python's float(). Any other block is parsed line by line, which
     reports the first bad line as file:line.
     """
     path = Path(path)
-    line_numbers, lines = _significant_lines(path.read_text(encoding="utf-8"))
-    fibers = _fibers_in_bulk(lines)
-    if fibers is None:
-        pairs = []
-        for no, line in zip(line_numbers, lines):
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise FormatError(path, no, f"expected two endpoints per line, got {len(tokens)}")
-            pairs.append((_parse_endpoint(path, no, tokens[0]),
-                          _parse_endpoint(path, no, tokens[1])))
-        ends = list(chain.from_iterable(pairs))
-        is_point = [isinstance(e, np.ndarray) for e in ends]
-        fibers = Fibers(is_point, [0 if p else e for p, e in zip(is_point, ends)],
-                        [e for p, e in zip(is_point, ends) if p])
-    fibers.path, fibers.line_numbers = path, line_numbers
+    text = _Lines(path, skip=b"\n#")
+    parts = [_fiber_rows(block, line_ends) or _fiber_lines(text, a, b)
+             for a, b, block, line_ends in text.blocks(0, len(text))]
+    fibers = (Fibers(*(np.concatenate(arrays) for arrays in zip(*parts))) if parts
+              else Fibers([], [], []))
+    fibers.path, fibers.line_numbers = path, text.numbers()
     return fibers

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .kmeans import Block, KmeansConfig, parallel_kmeans
-from .mesh_io import TriangleMesh, _first, _read_rows, _significant_lines
+from .mesh_io import TriangleMesh, _first, _Lines, _read_rows
 from .surface_graph import build_graph, cut_graph
 from .util import derive_seed
 
@@ -60,20 +59,25 @@ class AtlasPlan:
     @classmethod
     def from_file(cls, path) -> "AtlasPlan":
         """Read 'region_id k' lines; blank lines and # comments are skipped."""
-        numbers, lines = _significant_lines(Path(path).read_text(encoding="utf-8"))
-        if not lines:
+        text = _Lines(path, skip=b"\n#")
+        if not len(text):
             raise ValueError(f"{path}: empty plan")
-        rows = _read_rows(path, numbers, lines, 2, int, "'region_id k'", _distinct_regions)
+        rows = _read_rows(text, 0, len(text), 2, int, "'region_id k'", _plan_rules)
         return cls(dict(rows.tolist()))
 
 
-def _distinct_regions(rows, lines):
-    """Rule of plan rows: each region is named once."""
+def _plan_rules(rows, line):
+    """Rules of plan rows: each region is named once, with k >= 1."""
     _, first = np.unique(rows[:, 0], return_index=True)
     repeated = np.ones(len(rows), dtype=bool)
     repeated[first] = False
-    row = _first(repeated)
-    return None if row is None else (row, f"duplicate region {rows[row, 0]}")
+    small = rows[:, 1] < 1
+    row = _first(repeated | small)
+    if row is None:
+        return None
+    if small[row]:
+        return row, f"region {rows[row, 0]}: k must be >= 1, got {rows[row, 1]}"
+    return row, f"duplicate region {rows[row, 0]}"
 
 
 @dataclass

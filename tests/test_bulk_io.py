@@ -1,18 +1,23 @@
 """The bulk readers against per-line parsers written here, bit for bit.
 
-Every loader parses plain blocks with one C-level pass and anything else line
-by line. These tests build files with comments, blank lines, tabs, CRLF
-endings, leading '+', extra spaces and tokens only int()/float() accept, and
-require the arrays, or the FormatError line, of the per-line parsers below.
+Every loader reads its file as bytes and parses plain blocks in one bulk pass
+(np.fromstring for integers, an exact integer-mantissa parse for floats) and
+anything else line by line. These tests build files with comments, blank
+lines, tabs, CRLF endings, leading '+', extra spaces and tokens only
+int()/float() accept, and require the arrays, or the FormatError line, of the
+per-line parsers below. The float parse is also checked against float() alone.
 """
+import decimal
 import math
 from contextlib import contextmanager
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosp import (FormatError, TriangleMesh, build_connectivity_matrix, grid_mesh,
+from geosp import (FormatError, TriangleMesh, atlas_mesh, build_connectivity_matrix, grid_mesh,
                    load_fibers, load_labels, load_matrix, load_mesh, write_fibers,
                    write_mesh)
 from geosp.cli import run
@@ -183,6 +188,9 @@ def oracle_matrix(text):
         if len(row) != p or not all(-INT64_MAX - 1 <= x <= INT64_MAX for x in row):
             raise Bad(r + 2)
         rows.append(row)
+    for r in range(p + 1, len(lines)):
+        if lines[r].strip():
+            raise Bad(r + 1)
     return np.array(rows, dtype=np.int64).reshape(p, p)
 
 
@@ -363,26 +371,26 @@ def _file(fmt, rng, style):
 
 
 @contextmanager
-def read_block_lines(n):
-    """Bulk passes of n lines: files this small then span several of them."""
-    saved = mesh_io.READ_BLOCK_LINES
-    mesh_io.READ_BLOCK_LINES = connectivity.READ_BLOCK_LINES = n
+def read_block_bytes(n):
+    """Bulk passes of about n bytes: files this small then span several of them."""
+    saved = mesh_io.READ_BLOCK_BYTES
+    mesh_io.READ_BLOCK_BYTES = n
     try:
         yield
     finally:
-        mesh_io.READ_BLOCK_LINES = connectivity.READ_BLOCK_LINES = saved
+        mesh_io.READ_BLOCK_BYTES = saved
 
 
-BLOCK_LINES = st.sampled_from([1, 3, 7, mesh_io.READ_BLOCK_LINES])
+BLOCK_BYTES = st.sampled_from([1, 3, 7, 64, mesh_io.READ_BLOCK_BYTES])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(FORMATS), st.integers(0, 2**32 - 1), styles(), BLOCK_LINES)
-def test_bulk_readers_equal_per_line_parsers(tmp_path_factory, fmt, seed, style, block_lines):
+@given(st.sampled_from(FORMATS), st.integers(0, 2**32 - 1), styles(), BLOCK_BYTES)
+def test_bulk_readers_equal_per_line_parsers(tmp_path_factory, fmt, seed, style, block_bytes):
     rng = np.random.default_rng(seed)
     load, oracle, lines, text = _file(fmt, rng, style)
     path = tmp_path_factory.mktemp("bulk") / f"f.{fmt.split('-')[0]}"
-    with read_block_lines(block_lines):
+    with read_block_bytes(block_bytes):
         _check(load, oracle, path, text(lines))
 
 
@@ -431,13 +439,13 @@ CORRUPTIONS = ["bad token", "token moved to the next line", "nan or inf",
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(FORMATS), st.sampled_from(CORRUPTIONS), st.integers(0, 2**32 - 1),
-       styles(), BLOCK_LINES)
+       styles(), BLOCK_BYTES)
 def test_damaged_line_reports_the_per_line_parsers_line(tmp_path_factory, fmt, how, seed, style,
-                                                        block_lines):
+                                                        block_bytes):
     rng = np.random.default_rng(seed)
     load, oracle, lines, text = _file(fmt, rng, style)
     path = tmp_path_factory.mktemp("bad") / f"f.{fmt.split('-')[0]}"
-    with read_block_lines(block_lines):
+    with read_block_bytes(block_bytes):
         _check(load, oracle, path, text(_corrupt(fmt, lines, rng, how)))
 
 
@@ -465,6 +473,12 @@ def test_lone_sign_is_not_read_as_zero(tmp_path, name, text, line):
     assert err.value.line_no == line
 
 
+def _block(lines):
+    """A bulk pass's input: the lines, each ending in LF, as bytes, and the offsets of the LFs."""
+    text = "".join(line + "\n" for line in lines).encode()
+    return text, np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+
+
 @pytest.mark.parametrize("lines,width,kind,plain", [
     (["1 2 3", "+4\t5  -6"], 3, int, True),
     (["0.5 -1e-3 +2.", ".25 1E5 -0"], 3, float, True),
@@ -476,26 +490,60 @@ def test_lone_sign_is_not_read_as_zero(tmp_path, name, text, line):
     (["1_0"], 1, int, False),
     (["nan"], 1, float, False),
     (["3.5"], 1, int, False),
+    (["1e5 -2.5E-3 +.5e+2"], 3, float, True),
+    (["1 --1 2"], 3, float, False),       # a second sign
+    (["-1- 0 0"], 3, float, False),       # a sign after the digits
+    (["1.2.3 0 0"], 3, float, False),     # a second point
+    (["1e5.5 0 0"], 3, float, False),
+    (["1 2 3", "# 4 5 6"], 3, int, False),
 ])
 def test_only_plain_blocks_take_the_bulk_pass(lines, width, kind, plain):
     """The bulk pass must serve plain files (that is its speed) and nothing else."""
-    from geosp.mesh_io import _parse_rows
-    rows = _parse_rows(lines, width, kind)
+    rows = mesh_io._bulk_rows(*_block(lines), width, kind)
     assert (rows is not None) == plain
     if plain:
         assert rows.tolist() == [[kind(t) for t in line.split()] for line in lines]
 
 
+def test_comment_and_blank_lines_inside_a_block_stay_on_the_bulk_pass(tmp_path, monkeypatch):
+    """Skipped lines are blanked out of a block, not handed to the per-line loop."""
+    p = tmp_path / "m.off"
+    p.write_text("OFF\n# counts\n3 1 0\n0 0 0\n# a note, 1 2\n\n1 0.5 0\n  # indented\n0 1 0\n"
+                 "\n3 0 1 2\n")
+    read = []
+    line = mesh_io._Lines.line
+    monkeypatch.setattr(mesh_io._Lines, "line", lambda self, i: read.append(i) or line(self, i))
+    mesh = load_mesh(p)
+    assert mesh.vertices.tolist() == [[0, 0, 0], [1, 0.5, 0], [0, 1, 0]]
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+    assert read == [0, 1]  # the header and the counts only
+
+
+@pytest.mark.parametrize("eol", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u2029", "\r\r\n"])
+def test_lines_are_cut_and_stripped_as_python_does(tmp_path, eol):
+    """Files with line breaks other than LF and CRLF, or non-ASCII spaces,
+    keep Python's line numbers and contents."""
+    off = eol.join(["OFF", "\u3000# a comment", "3 1 0", "0 0 0\x1f", "\u00a01 0 0", "0 1 0",
+                    "3 0 1 2", ""])
+    _check(load_mesh, oracle_off, tmp_path / "m.off", off)
+    _check(load_mesh, oracle_off, tmp_path / "bad.off", off.replace("0 1 0", "0 x 0"))
+    labels = eol.join(["1", " 2\u3000", "3", ""])
+    _check(load_labels, oracle_labels, tmp_path / "l.txt", labels)
+    _check(load_labels, oracle_labels, tmp_path / "bad.txt", labels.replace("3", "-"))
+    fibers = eol.join(["v:1 p:0.5,1,2", "\u3000# c", "p:1,2,3 v:2", ""])
+    _check(load_fibers, oracle_fibers, tmp_path / "f.txt", fibers)
+
+
 def test_plain_fibre_files_take_the_bulk_pass():
-    from geosp.connectivity import _fibers_in_bulk
-    fibers = _fibers_in_bulk(["v:1 p:0.5,-1,+2e3", "p:1,2,3 v:-7"])
+    fibers = Fibers(*connectivity._fiber_rows(*_block(["v:1 p:0.5,-1,+2e3", "p:1,2,3 v:-7"])))
     assert fibers.is_point.tolist() == [False, True, True, False]
     assert fibers.vertex.tolist() == [1, 0, 0, -7]
     assert fibers.points.tolist() == [[0.5, -1.0, 2000.0], [1.0, 2.0, 3.0]]
     for bad in (["v:1 p:1,2"], ["v:1 p:1,2,3,4"], ["v:1 e:2"], ["v:1 v:2p"], ["v:1,2 v:3"],
                 ["v:1 p:1,,2"], ["v:1v:2 v:3"], ["v:1 p:1,2,3e"],
                 ["p:1,2 p:3,4,5,6"]):  # 2 + 4 coordinates pass a total check
-        assert _fibers_in_bulk(bad) is None, bad
+        assert connectivity._fiber_rows(*_block(bad)) is None, bad
 
 
 # -- the two bugfixes --------------------------------------------------------------
@@ -579,3 +627,205 @@ def test_file_vertex_out_of_mesh_range_is_rejected_by_the_matrix(tmp_path):
     p.write_text("v:0 v:1\nv:-1 v:2\n")
     with pytest.raises(ValueError, match="vertex -1 out of range"):
         build_connectivity_matrix(load_fibers(p), np.zeros(9, dtype=int), grid_mesh(3, 3))
+
+
+# -- write_fibers ----------------------------------------------------------------
+
+
+def _fibers_per_endpoint(fibers):
+    """The text write_fibers wrote one endpoint at a time, as a reference."""
+
+    def fmt(endpoint):
+        if np.isscalar(endpoint) or isinstance(endpoint, (int, np.integer)):
+            return f"v:{int(endpoint)}"
+        x, y, z = (float(c) for c in np.asarray(endpoint, dtype=np.float64).reshape(3))
+        return f"p:{x!r},{y!r},{z!r}"
+
+    return "".join(f"{fmt(a)} {fmt(b)}\n" for a, b in fibers)
+
+
+def _mixed_fibers(rng, count):
+    special = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0, -7.0, 1e16, 0.1, 123.456]
+    fibers = []
+    for _ in range(count):
+        ends = []
+        for _ in range(2):
+            pick = rng.integers(6)
+            if pick == 0:
+                ends.append(int(rng.integers(-5, 10**6)))
+            elif pick == 1:
+                ends.append(np.int64(rng.integers(0, 10**12)))
+            elif pick == 2:
+                ends.append(float(rng.integers(0, 1000)))  # an integral float vertex index
+            elif pick == 3:
+                ends.append(list(rng.choice(special, size=3)))
+            elif pick == 4:
+                ends.append(tuple(rng.normal(scale=10.0 ** rng.integers(-8, 9), size=3)))
+            else:
+                ends.append(rng.normal(scale=50, size=3))
+        fibers.append(tuple(ends))
+    return fibers
+
+
+@pytest.mark.parametrize("write_fibers_per_block", [3, connectivity._WRITE_FIBERS])
+def test_write_fibers_bytes_equal_per_endpoint_formatting(tmp_path, monkeypatch,
+                                                          write_fibers_per_block):
+    monkeypatch.setattr(connectivity, "_WRITE_FIBERS", write_fibers_per_block)
+    fibers = _mixed_fibers(np.random.default_rng(11), 200)
+    want = _fibers_per_endpoint(fibers).encode()
+    write_fibers(tmp_path / "pairs.txt", fibers)
+    assert (tmp_path / "pairs.txt").read_bytes() == want
+    write_fibers(tmp_path / "arrays.txt", connectivity._fibers_from_pairs(fibers))
+    assert (tmp_path / "arrays.txt").read_bytes() == want
+    write_fibers(tmp_path / "none.txt", [])
+    assert (tmp_path / "none.txt").read_bytes() == b""
+
+
+def test_write_then_load_fibers_gives_identical_bits(tmp_path):
+    """repr digits read back through the exact float parse, bit for bit."""
+    fibers = _mixed_fibers(np.random.default_rng(12), 3000)
+    write_fibers(tmp_path / "f.txt", fibers)
+    back = load_fibers(tmp_path / "f.txt")
+    want = connectivity._fibers_from_pairs(fibers)
+    assert _same_bits(back.is_point, want.is_point)
+    assert _same_bits(back.vertex, want.vertex)
+    assert _same_bits(back.points, want.points)
+
+
+# -- the exact float parse ---------------------------------------------------------
+
+
+def _parse(tokens):
+    """mesh_io's float parse of `tokens`, laid out as one line."""
+    text = (" ".join(tokens) + "\n").encode()
+    starts, stops = mesh_io._tokens(np.frombuffer(text, dtype=np.uint8))
+    return mesh_io._floats(text, starts, stops)
+
+
+def _python_bits(tokens):
+    return np.array([float(t) for t in tokens], dtype=np.float64)
+
+
+def _fixed(x: Fraction, digits: int) -> str:
+    """x rounded to `digits` significant digits, printed without an exponent."""
+    with decimal.localcontext(prec=digits):
+        return format(Decimal(x.numerator) / Decimal(x.denominator), "f")
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_tokens(draw):
+    kind = draw(st.sampled_from(["repr", "%.17g", "%.6f", "%.3e", "midpoint", "edge"]))
+    if kind == "midpoint":  # halfway between two adjacent doubles, to 16-20 digits
+        x = draw(st.floats(min_value=1e-6, max_value=1e17))
+        mid = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
+        token = _fixed(mid, draw(st.integers(16, 20)))
+    elif kind == "edge":
+        token = draw(st.sampled_from([
+            "0", "-0", "+0", "0.0", "-0.0", "+5", ".5", "5.", "-.5", "+.5", "-5.",
+            "1234567890123456789", "9223372036854775807", "9223372036854775808",
+            "12345678901234567890", "99999999999999999999", "0.1234567890123456789",
+            "1.2345678901234567890", "0.0000000000000000000000000001",
+            "0.00000000000000000000000000012345", "123.4567890123456789012345678901",
+            "4503599627370497.5", "-4503599627370498.5", "9007199254740993",
+            "0.30000000000000004", "179769313486231570" + "0" * 291]))
+    else:
+        token = kind % draw(finite_doubles) if kind != "repr" else repr(draw(finite_doubles))
+    if draw(st.booleans()) and not token.startswith(("-", "+")):
+        token = "+" + token
+    return token
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(float_tokens(), min_size=1, max_size=40))
+def test_exact_float_parse_has_the_bits_of_float(tokens):
+    tokens = [t for t in tokens if math.isfinite(float(t))] or ["1"]
+    assert _same_bits(_parse(tokens), _python_bits(tokens))
+
+
+def _spy_on_float_fromstring(monkeypatch):
+    """A list that gets the count of every float64 np.fromstring result."""
+    sent, fromstring = [], np.fromstring
+
+    def spy(text, dtype=float, **kwargs):
+        values = fromstring(text, dtype=dtype, **kwargs)
+        if np.dtype(dtype) == np.float64:
+            sent.append(len(values))
+        return values
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    return sent
+
+
+def _slow(token, table_size, largest):
+    """Whether the exact path must hand `token` to np.fromstring."""
+    if "e" in token.lower():
+        return True
+    digits = token.lstrip("+-")
+    m, k = int(digits.replace(".", "")), len(digits.partition(".")[2])
+    return m > largest or m >= 2**63 - 1 or k >= table_size
+
+
+def test_53_bit_route_takes_mantissas_up_to_2_to_the_53(monkeypatch):
+    monkeypatch.setattr(mesh_io, "_QUOTIENTS", mesh_io._exact_quotients(np.float64))
+    table, largest, _split = mesh_io._QUOTIENTS
+    assert (len(table), largest) == (23, 2**53)  # 10**22 is the last exact power
+    sent = _spy_on_float_fromstring(monkeypatch)
+    tokens = ["0.1234567890123456", "9007199254740992", "-12.5", "1e22", "0.000001",
+              "9007199254740993", "12.345678901234567", "1." + "0" * 22, "4503599627370497.5"]
+    xs = np.random.default_rng(3).normal(scale=100, size=300).tolist()
+    tokens += [fmt % x for x in xs for fmt in ("%.17g", "%.6f", "%r")]
+    assert _same_bits(_parse(tokens), _python_bits(tokens))
+    assert sum(sent) == sum(_slow(t, len(table), largest) for t in tokens)
+    assert 0 < sum(sent) < len(tokens)
+
+
+@pytest.mark.parametrize("token", ["121.257714", "39.988232", "63.889405", "4503599627370497.5",
+                                   "-4503599627370498.5", "-121.257714"])
+def test_long_double_midpoints_are_resolved_exactly(monkeypatch, token):
+    """The long double quotient of these tokens lies exactly halfway between
+    two adjacent doubles; for the first two the cast alone rounds the wrong way."""
+    table = mesh_io._QUOTIENTS[0]
+    if np.finfo(table.dtype).nmant <= 52:
+        pytest.skip("long double has no more bits than double here")
+    digits = token.lstrip("+-")
+    m, k = int(digits.replace(".", "")), len(digits.partition(".")[2])
+    q = table.dtype.type(m) / table[k]
+    low = float(q)
+    high = float(np.nextafter(low, np.inf if q > low else -np.inf))
+    assert Fraction(*q.as_integer_ratio()) == (Fraction(low) + Fraction(high)) / 2
+    assert (low != abs(float(token))) == (digits in ("121.257714", "39.988232"))
+    sent = _spy_on_float_fromstring(monkeypatch)
+    assert _same_bits(_parse([token]), _python_bits([token]))
+    assert sent == []
+
+
+def _rotated_desk_mesh():
+    """The desk-size atlas turned and shifted as geobench's inputs are."""
+    mesh, _regions, _hemis = atlas_mesh(100, 98)
+    rng = np.random.default_rng(1)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    vertices = mesh.vertices.copy()
+    vertices[:, 2] += rng.uniform(-0.25, 0.25, len(vertices))
+    return TriangleMesh(vertices @ (q * np.sign(np.diag(r))).T + rng.uniform(-100, 100, 3),
+                        mesh.triangles)
+
+
+def test_mesh_files_parse_without_np_fromstring_for_coordinates(tmp_path, monkeypatch):
+    mesh = _rotated_desk_mesh()
+    g17 = tmp_path / "g17.off"
+    coords = np.char.mod("%.17g", mesh.vertices)
+    g17.write_text(f"OFF\n{mesh.vertex_count} {mesh.triangle_count} 0\n"
+                   + "".join(" ".join(row) + "\n" for row in coords)
+                   + "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()))
+    assert "e" not in g17.read_text()  # no exponent: every coordinate takes the exact path
+    written = tmp_path / "written.ply"
+    write_mesh(written, mesh)
+    sent = _spy_on_float_fromstring(monkeypatch)
+    np.testing.assert_array_equal(load_mesh(g17).vertices.view(np.uint64),
+                                  mesh.vertices.view(np.uint64))
+    rounded = np.array([[float("%.6f" % x) for x in row] for row in mesh.vertices])
+    assert _same_bits(load_mesh(written).vertices, rounded)
+    assert sent == []

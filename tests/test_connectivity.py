@@ -384,6 +384,25 @@ def test_matrix_errors(tmp_path, text, line):
     assert err.value.line_no == line
 
 
+@pytest.mark.parametrize("text,line,shown", [
+    ("2\n1 0\n0 1\n5 5\ngarbage\n", 4, "'5 5'"),
+    ("2\n1 0\n0 1\n\n \t\n# a note\n", 6, "'# a note'"),
+    ("0\n\n1\n", 3, "'1'"),
+])
+def test_matrix_trailing_content_is_a_format_error(tmp_path, text, line, shown):
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=f"unexpected trailing content: {shown}") as err:
+        load_matrix(p)
+    assert err.value.line_no == line
+
+
+def test_matrix_trailing_blank_lines_are_accepted(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("2\n1 0\n0 1\n\n  \t \r\n\n")
+    np.testing.assert_array_equal(load_matrix(p), [[1, 0], [0, 1]])
+
+
 def test_rows_too_short_for_the_header_are_a_format_error(tmp_path):
     """A header asking for 200000 entries per row over rows of one entry is
     reported at its first row, not by allocating (200000, 200000) int64s."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosp import (AtlasPlan, Block, KmeansConfig, atlas_mesh, build_graph, cut_graph,
+from geosp import (AtlasPlan, Block, FormatError, KmeansConfig, atlas_mesh, build_graph, cut_graph,
                    extract_region_subgraph, grid_mesh, icosphere_mesh, parallel_kmeans,
                    parcellate_atlas_mode, parcellate_whole_mode, two_hemispheres_mesh)
 from geosp.parcellator import Parcellation
@@ -368,6 +368,20 @@ def test_atlas_plan_file_errors(tmp_path, text, msg):
     p.write_text(text)
     with pytest.raises(ValueError, match=msg):
         AtlasPlan.from_file(p)
+
+
+@pytest.mark.parametrize("text,line,k", [
+    ("0 2\n1 0\n", 2, 0),
+    ("# region k\n0 -3\n1 2\n", 2, -3),
+    ("0 2\n\n1 5\n2 0\n0 4\n", 4, 0),  # ahead of the duplicate on line 5
+])
+def test_atlas_plan_file_k_below_one_names_the_line(tmp_path, text, line, k):
+    p = tmp_path / "plan.txt"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=f"k must be >= 1, got {k}") as err:
+        AtlasPlan.from_file(p)
+    assert err.value.line_no == line
+    assert str(err.value).startswith(f"{p}:{line}: ")
 
 
 def test_atlas_plan_rejects_nonpositive_k():
