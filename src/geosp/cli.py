@@ -117,6 +117,8 @@ def _cmd_parcellate_whole(args) -> int:
         else:
             hemis = np.zeros(mesh.vertex_count, dtype=np.int64)
     elif len(args.mesh) == 2:
+        if args.hemis:
+            raise ValueError("--hemis goes with one --mesh; two meshes are the two hemispheres")
         left = mesh_io.load_mesh(args.mesh[0])
         right = mesh_io.load_mesh(args.mesh[1])
         mesh, hemis = mesh_io.concat_meshes(left, right)
@@ -207,3 +209,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -163,24 +163,12 @@ def _assign_blocks(graph: SurfaceGraph, centroids: np.ndarray, id_sets, ks):
     return assignment, fallbacks, field_.dist
 
 
-def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, int]:
-    """Assign each vertex to the geodesically closest centroid.
-
-    Ties go to the centroid earliest in the list. Vertices unreachable from
-    every centroid are assigned by smallest Euclidean distance instead; the
-    second return value counts them.
-    """
-    assignment, fallbacks, _ = _assign_blocks(graph, np.asarray(centroids, dtype=np.int64),
-                                              [np.arange(graph.vertex_count)], [len(centroids)])
-    return assignment, fallbacks[0]
-
-
 # A candidate is pruned only when its lower bound exceeds the best sum by
 # more than this share of 2*c*ecc, the largest sum any member can have (c
 # members, every distance at most twice the anchor's eccentricity ecc): a
 # computed bound may err upwards by up to 2e-9*c*ecc. Rounding in a
 # distance grows like (edges on a path) * u of it (u = 2**-53), and the
-# pairwise sums of c gaps in _lower_bounds err by about log2(c) * u * 2*c*ecc.
+# pairwise sum of the c gaps of a bound errs by about log2(c) * u * 2*c*ecc.
 # The prefix-sum bounds of _abs_sums err most: they add c values of up to
 # 4*ecc (a + b of two rows) one after another and then subtract such
 # prefix sums, about 16*c**2*u*ecc in all. That stays below the pad up to
@@ -199,9 +187,9 @@ _PRUNE_PAD = 1e-9
 # 1e-6 of it.
 _ROW_PAD = 1e-6
 
-# Elements of the r x columns x c difference block in _lower_bounds (1 MB
-# of float32 rows, 2 MB of float64). A group of the row-wise sorts in
-# _abs_sums pads to at most an eighth of that, as it holds about eight
+# Elements of the largest r x candidates x members block of row gaps that
+# _padded_bounds builds (1 MB of float32 rows). A group of the row-wise sorts
+# in _abs_sums pads to at most an eighth of that, as it holds about eight
 # float64 arrays of its size at once.
 _BOUND_BLOCK = 1 << 18
 
@@ -214,28 +202,6 @@ _FIRST_REFRESH = 16
 # about 25). Room no row was written to stays out of the resident set when
 # the buffer is large enough to be mapped apart, as it is at paper scale.
 _ROW_ROOM = 32
-
-
-def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """For each candidate x in `cols`: sum over members j of max over
-    evaluated rows s of |d(s,j) - d(s,x)|, which is at most d(x,j) by the
-    triangle inequality, so at most x's distance sum.
-
-    The gaps and their maxima are taken in the dtype of `rows` (float32 in
-    the medoid search, see _ROW_PAD), each column's sum in float64. Built in
-    blocks of columns, so it holds at most about 2 * _BOUND_BLOCK elements
-    at once, whatever the cluster size; each bound has the same bits in any
-    block.
-    """
-    r, c = rows.shape
-    step = max(1, _BOUND_BLOCK // (r * c))
-    lower = np.empty(len(cols))
-    for a in range(0, len(cols), step):
-        gap = rows[:, cols[a:a + step], None] - rows[:, None, :]
-        np.abs(gap, out=gap)
-        lower[a:a + step] = gap.max(axis=0).sum(axis=1, dtype=np.float64)
-        del gap  # before the next block is built
-    return lower
 
 
 class _Layout:
@@ -294,7 +260,7 @@ def _abs_sums(values: np.ndarray, layout: _Layout) -> np.ndarray:
 
 
 def _pair_bounds(a: np.ndarray, b: np.ndarray, layout: _Layout) -> np.ndarray:
-    """_lower_bounds from the two rows a and b, for every member at once:
+    """The bound of _padded_bounds from the rows a and b, for every member at once:
     max(|da|, |db|) = (|da + db| + |da - db|) / 2, summed by _abs_sums."""
     return 0.5 * (_abs_sums(a + b, layout) + _abs_sums(a - b, layout))
 
@@ -309,7 +275,12 @@ def _first_max(values: np.ndarray, layout: _Layout) -> np.ndarray:
 
 def _padded_bounds(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
                    candidates: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """_lower_bounds of several clusters in one call, with the same bits.
+    """Lower bounds on the distance sums of candidates of several clusters
+    in one call. For candidate x: the sum over the members j of its cluster
+    of the max over the rows s of |d(s,j) - d(s,x)|, at most d(x,j) by the
+    triangle inequality. Gaps and maxima are in the dtype of `rows` (float32
+    in the medoid search, see _ROW_PAD), sums in float64; the one-cluster
+    reference is tests/helpers._lower_bounds.
 
     The members of cluster i are the sizes[i] columns of `rows` from
     starts[i] on, its candidates the columns candidates[i, :picks[i]];
@@ -322,14 +293,14 @@ def _padded_bounds(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
     size, so padding at most doubles the members, and holds about a quarter
     of _BOUND_BLOCK elements (in the desk benchmark's refreshes that took a
     quarter less time than the whole); a larger cluster is a block alone,
-    built in column blocks of at most _BOUND_BLOCK elements as
-    _lower_bounds. The gaps of padded members are set to zero before the
-    float64 sum, which keeps its bits because that sum is exact: every
-    float32 gap is a multiple of the float32 spacing g of the smallest
-    nonzero row value d, and a sum of at most c * 2 * ecc stays on that
-    grid while it is below 2**53 * g, that is while c * ecc / d < 2**28
-    (for paper-scale clusters about 870 * 60 mm / 0.5 mm). Beyond that a
-    bound can differ from _lower_bounds by its rounding, which the row pad
+    built in blocks of candidates of at most _BOUND_BLOCK elements. The
+    gaps of padded members are set to zero before the float64 sum, which
+    keeps the bits of the sum over the members alone because it is exact:
+    every float32 gap is a multiple of the float32 spacing g of the
+    smallest nonzero row value d, and a sum of at most c * 2 * ecc stays on
+    that grid while it is below 2**53 * g, that is while c * ecc / d <
+    2**28 (for paper-scale clusters about 870 * 60 mm / 0.5 mm). Beyond
+    that a bound can differ from it by its rounding, which the row pad
     covers.
     """
     r = len(rows)
@@ -396,13 +367,13 @@ class _FlatMedoidSearch:
 
     The clusters lie side by side, largest first, in flat member arrays;
     the float32 rows hold one column per member. Per cluster, each row is
-    that of the open candidate with the smallest lower bound (_lower_bounds
-    over every evaluated row, ties to the smallest position). As the rows
-    are float32, the bounds are padded by the cluster's `pad`; row totals
-    come from the float64 rows (_totals). A candidate is pruned once its
-    bound exceeds its cluster's best sum plus the pad; a cluster is done
-    when none is left, and its medoid is the member with the best sum. Once
-    the clusters that are done hold half the columns, they are dropped.
+    that of the open candidate with the smallest lower bound (from every
+    evaluated row, see _padded_bounds; ties to the smallest position). As
+    the rows are float32, the bounds are padded by the cluster's `pad`; row
+    totals come from the float64 rows (_totals). A candidate is pruned once
+    its bound exceeds its cluster's best sum plus the pad; a cluster is
+    done when none is left, and its medoid is the member with the best sum.
+    Once the clusters that are done hold half the columns, they are dropped.
 
     Refresh is lazy and best-first. Each open candidate keeps the bound last
     computed for it (at first its pairwise two-row bound from _first_rows).
@@ -706,15 +677,6 @@ def max_centroid_shift_mm(old: list[int], new: list[int], graph: SurfaceGraph) -
     return float(np.linalg.norm(delta, axis=1).max())
 
 
-def stop_criterion(old_centroids: list[int], new_centroids: list[int],
-                   graph: SurfaceGraph, iteration: int, config: KmeansConfig) -> bool:
-    """Stop when every centroid moved less than the tolerance (default 2 mm)
-    or the iteration cap (default 20) is reached."""
-    if max_centroid_shift_mm(old_centroids, new_centroids, graph) < config.convergence_tolerance_mm:
-        return True
-    return iteration >= config.max_iterations
-
-
 def parallel_kmeans(graph: SurfaceGraph, blocks: list[Block]) -> LockstepResult:
     """Full clustering loop: seed, then alternate assignment and medoid updates
     until centroids move less than the tolerance or the iteration cap hits.
@@ -764,14 +726,14 @@ def parallel_kmeans(graph: SurfaceGraph, blocks: list[Block]) -> LockstepResult:
             energy[i].append(float(d[np.isfinite(d)].sum()))
             new = new_flat[start:start + k]
             shift = max_centroid_shift_mm(centroids[i], new, graph)
-            converged = stop_criterion(centroids[i], new, graph, iteration, config)
+            converged = shift < config.convergence_tolerance_mm
             centroids[i] = new
-            if converged:
+            if converged or iteration >= config.max_iterations:
                 local = assignment[ids] - start
                 results[i] = KmeansResult(
                     groups=[ids[local == j] for j in range(k)], assignment=local,
                     centroids=new, iterations=iteration,
-                    converged_by_tolerance=shift < config.convergence_tolerance_mm,
+                    converged_by_tolerance=converged,
                     last_shift_mm=shift, euclidean_fallbacks=fallbacks_total[i],
                     energy_history=energy[i], seconds=time.perf_counter() - t0)
             else:

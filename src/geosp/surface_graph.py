@@ -13,11 +13,11 @@ region and cluster this way).
 
 The graph's edges are exactly the unique triangle edges of the mesh, weighted
 by the Euclidean distance between their endpoints, so shortest paths measure
-geodesic distance along the surface rather than straight-line distance.
+geodesic distance along the surface rather than straight-line distance. The
+graph holds them once, in symmetric CSR arrays only.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +32,8 @@ APSP_VERTEX_CAP = 20000
 class SurfaceGraph:
     """Undirected weighted graph over mesh vertices; immutable after construction.
 
-    Stores a symmetric CSR adjacency plus the vertex positions (mm). All
-    shortest-path operations are read-only.
+    Holds the vertex positions (mm) and, as its only edge storage, a
+    symmetric CSR adjacency (indptr, neighbor_indices, neighbor_weights).
     """
 
     def __init__(self, positions, edge_u, edge_v, edge_weights):
@@ -51,42 +51,37 @@ class SurfaceGraph:
         if not np.all(w > 0):  # also refuses NaN
             raise ValueError("edge weights must be positive")
 
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        # One int64 key per edge sorts like its (lo, hi) row. Stable argsort
-        # is a merge of runs, so keys that come sorted (build_graph's) cost
-        # one pass; duplicates end up side by side.
-        key = lo * n + hi
+        # One int64 key a * n + b per directed edge a -> b sorts like its
+        # (a, b) row; an edge given twice, in either direction, repeats a key.
+        key = np.concatenate([u * n + v, v * n + u])
         order = np.argsort(key, kind="stable")
         key = key[order]
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
-        self._eu = lo[order]
-        self._ev = hi[order]
-        self._ew = w[order]
+        self.positions, self.vertex_count = positions, n
+        self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        self.neighbor_indices = key % n
+        self.neighbor_weights = np.concatenate([w, w])[order]
 
-        du = np.concatenate([self._eu, self._ev])
-        dv = np.concatenate([self._ev, self._eu])
-        dw = np.concatenate([self._ew, self._ew])
-        idx = np.argsort(du * n + dv, kind="stable")  # keys are unique: the (du, dv) order
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(du, minlength=n), out=self.indptr[1:])
-        self.neighbor_indices = dv[idx]
-        self.neighbor_weights = dw[idx]
-        self.positions = positions
-        self.vertex_count = n
+    @classmethod
+    def _from_csr(cls, positions, indptr, neighbor_indices, neighbor_weights) -> SurfaceGraph:
+        """The graph of symmetric CSR arrays as given, unchecked."""
+        graph = cls.__new__(cls)
+        graph.positions, graph.vertex_count = positions, len(positions)
+        graph.indptr = indptr
+        graph.neighbor_indices, graph.neighbor_weights = neighbor_indices, neighbor_weights
+        return graph
 
     @property
     def edge_count(self) -> int:
-        return len(self._eu)
+        return len(self.neighbor_indices) // 2
 
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical undirected edge arrays (u, v, w) with u < v."""
-        return self._eu, self._ev, self._ew
-
-    def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        return self.neighbor_indices[lo:hi], self.neighbor_weights[lo:hi]
+        """Undirected edge arrays (u, v, w) with u < v, sorted by (u, v): the
+        CSR slots of u that hold a larger neighbour."""
+        u = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
+        upper = u < self.neighbor_indices
+        return u[upper], self.neighbor_indices[upper], self.neighbor_weights[upper]
 
 
 @dataclass
@@ -116,6 +111,7 @@ def build_graph(mesh: TriangleMesh) -> SurfaceGraph:
         # One int64 key per edge sorts like its (lo, hi) row.
         n = mesh.vertex_count
         key = _distinct(e[:, 0] * n + e[:, 1])
+        del e  # before SurfaceGraph builds its sort arrays
         lo, hi = key // n, key % n
         w = np.linalg.norm(mesh.vertices[lo] - mesh.vertices[hi], axis=1)
         w = np.maximum(w, MIN_EDGE_WEIGHT_MM)
@@ -159,16 +155,10 @@ def cut_graph(graph: SurfaceGraph, labels) -> SurfaceGraph:
     labels = np.asarray(labels)
     if len(labels) != graph.vertex_count:
         raise ValueError(f"{len(labels)} labels for {graph.vertex_count} vertices")
-    eu, ev, ew = graph.edges()
-    same = labels[eu] == labels[ev]
-    slot_same = np.repeat(labels, np.diff(graph.indptr)) == labels[graph.neighbor_indices]
-    kept_before = np.concatenate([[0], np.cumsum(slot_same)])
-    cut = copy.copy(graph)
-    cut._eu, cut._ev, cut._ew = eu[same], ev[same], ew[same]
-    cut.indptr = kept_before[graph.indptr]
-    cut.neighbor_indices = graph.neighbor_indices[slot_same]
-    cut.neighbor_weights = graph.neighbor_weights[slot_same]
-    return cut
+    same = np.repeat(labels, np.diff(graph.indptr)) == labels[graph.neighbor_indices]
+    kept_before = np.concatenate([[0], np.cumsum(same)])
+    return SurfaceGraph._from_csr(graph.positions, kept_before[graph.indptr],
+                                  graph.neighbor_indices[same], graph.neighbor_weights[same])
 
 
 def _check_sources(graph: SurfaceGraph, sources) -> np.ndarray:

@@ -15,6 +15,12 @@ def path_graph(n: int, spacing: float = 1.0) -> SurfaceGraph:
     return SurfaceGraph(positions, u, u + 1, np.full(n - 1, spacing))
 
 
+def neighbors(graph: SurfaceGraph, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour ids and edge weights of vertex u: its CSR slots."""
+    lo, hi = graph.indptr[u], graph.indptr[u + 1]
+    return graph.neighbor_indices[lo:hi], graph.neighbor_weights[lo:hi]
+
+
 def right_triangle_mesh() -> TriangleMesh:
     return TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
                         np.array([[0, 1, 2]]))
@@ -98,11 +104,48 @@ def cluster_medoid(graph: SurfaceGraph, ids, previous_centroid: int, dist=None) 
     return comp_centroids(graph, assignment, [int(previous_centroid)], dist)[0]
 
 
+def calc_groups(graph: SurfaceGraph, centroids: list[int]) -> tuple[np.ndarray, int]:
+    """Assign each vertex to the geodesically closest centroid, with the
+    whole graph as one block of kmeans._assign_blocks.
+
+    Ties go to the centroid earliest in the list. Vertices unreachable from
+    every centroid are assigned by smallest Euclidean distance instead; the
+    second return value counts them.
+    """
+    assignment, fallbacks, _ = kmeans._assign_blocks(
+        graph, np.asarray(centroids, dtype=np.int64), [np.arange(graph.vertex_count)],
+        [len(centroids)])
+    return assignment, fallbacks[0]
+
+
+def _lower_bounds(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each candidate x in `cols`: sum over members j of max over
+    evaluated rows s of |d(s,j) - d(s,x)|, which is at most d(x,j) by the
+    triangle inequality, so at most x's distance sum.
+
+    The one-cluster reference for kmeans._padded_bounds. The gaps and their
+    maxima are taken in the dtype of `rows` (float32 in the medoid search,
+    see kmeans._ROW_PAD), each column's sum in float64. Built in blocks of
+    columns, so it holds at most about 2 * kmeans._BOUND_BLOCK elements at
+    once, whatever the cluster size; each bound has the same bits in any
+    block.
+    """
+    r, c = rows.shape
+    step = max(1, kmeans._BOUND_BLOCK // (r * c))
+    lower = np.empty(len(cols))
+    for a in range(0, len(cols), step):
+        gap = rows[:, cols[a:a + step], None] - rows[:, None, :]
+        np.abs(gap, out=gap)
+        lower[a:a + step] = gap.max(axis=0).sum(axis=1, dtype=np.float64)
+        del gap  # before the next block is built
+    return lower
+
+
 class EagerMedoidSearch:
     """Per-cluster reference for kmeans._FlatMedoidSearch: the same search
     of one cluster from the fourth row on, but every round rebuilds the
     bound of every open candidate from every evaluated row with the same
-    float32 kernel (kmeans._lower_bounds) and takes the first smallest. It
+    float32 kernel (_lower_bounds) and takes the first smallest. It
     keeps no bound between rounds and ignores the stale bounds it is given.
     EagerMedoidSearches runs one per cluster."""
 
@@ -111,7 +154,7 @@ class EagerMedoidSearch:
         self.best_sum, self.best, self.pad = best_sum, best, pad
 
     def prune(self) -> bool:
-        lower = kmeans._lower_bounds(np.array(self.rows), self.open)
+        lower = _lower_bounds(np.array(self.rows), self.open)
         keep = lower <= self.best_sum + self.pad
         self.open = self.open[keep]
         if not len(self.open):

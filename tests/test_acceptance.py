@@ -7,14 +7,13 @@ from contextlib import contextmanager
 import numpy as np
 
 from geosp import (AtlasPlan, KmeansConfig, atlas_mesh, binarize, bridge_graph,
-                   build_connectivity_matrix, build_graph, calc_groups,
-                   comp_centroids, dice_coefficient, grid_mesh,
-                   pairwise_dice, parcellate_atlas_mode,
+                   build_connectivity_matrix, build_graph, comp_centroids,
+                   dice_coefficient, grid_mesh, pairwise_dice, parcellate_atlas_mode,
                    parcellate_whole_mode, sssp, wave_sheet_mesh)
 from geosp.cli import run
 from geosp.oracles import oracle_apsp as apsp, oracle_medoid, oracle_sssp
 
-from helpers import bumpy_grid_graph, kmeans_alone
+from helpers import bumpy_grid_graph, calc_groups, kmeans_alone
 
 # Geodesic/Euclidean ratio between adjacent crests of the A=5mm, lambda=10mm
 # wave sheet, computed once with the edge-relaxation oracle and frozen here.

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,32 @@ def test_parcellate_whole_two_mesh_files(tmp_path):
                 "--k", "2", "--out", str(out)]) == 0
     sub = load_labels(out / "parcellation.txt")
     assert len(np.unique(sub)) == 4
+
+
+def test_parcellate_whole_two_meshes_reject_hemis(tmp_path, capsys):
+    assert run(["synth", "--kind", "icosphere", "--level", "1", "--out", str(tmp_path)]) == 0
+    hemis = tmp_path / "hemis.txt"
+    hemis.write_text("banana\n")
+    out = tmp_path / "whole"
+    mesh = str(tmp_path / "mesh.off")
+    for meshes in ([mesh, mesh], [str(tmp_path / "nope.off"), mesh]):  # fails before loading
+        assert run(["parcellate-whole", "--mesh", *meshes, "--hemis", str(hemis),
+                    "--k", "2", "--out", str(out)]) == 1
+        assert "geosp: error: --hemis goes with one --mesh" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = tmp_path / "grid"
+    synth = [sys.executable, "-m", "geosp.cli", "synth", "--kind", "grid", "--nx", "4", "--ny", "4"]
+    proc = subprocess.run([*synth, "--out", str(out)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "grid: 16 vertices" in proc.stdout
+    assert (out / "mesh.off").exists()
+    proc = subprocess.run(synth, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2  # --out is missing
 
 
 def test_connectivity_and_dice_pipeline(tmp_path):

@@ -7,16 +7,17 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from geosp import (Block, KmeansConfig, TriangleMesh, atlas_mesh, bridge_graph, build_graph,
-                   calc_groups, comp_centroids, concat_meshes, cut_graph, dumbbell_mesh, grid_mesh,
-                   icosphere_mesh, kmeanspp_init, multi_source_sssp, perturb_weights, sssp,
-                   stop_criterion, wave_sheet_mesh)
+                   comp_centroids, concat_meshes, cut_graph, dumbbell_mesh, grid_mesh,
+                   icosphere_mesh, kmeanspp_init, multi_source_sssp, parallel_kmeans,
+                   perturb_weights, sssp, wave_sheet_mesh)
 from geosp import kmeans
 from geosp.kmeans import max_centroid_shift_mm
 from geosp.oracles import oracle_medoid, oracle_sssp
 from geosp.surface_graph import SurfaceGraph, induced_subgraph
 
-from helpers import (MESH_KINDS, EagerMedoidSearches, bumpy_grid_graph, bumpy_grid_mesh,
-                     cluster_medoid, irregular_mesh, kmeans_alone, path_graph, seeds_alone)
+from helpers import (MESH_KINDS, EagerMedoidSearches, _lower_bounds, bumpy_grid_graph,
+                     bumpy_grid_mesh, calc_groups, cluster_medoid, irregular_mesh, kmeans_alone,
+                     neighbors, path_graph, seeds_alone)
 
 DUMBBELL_PATCH = 16  # vertices per blob of the default dumbbell
 
@@ -345,9 +346,9 @@ def test_medoid_search_holds_less_than_one_square_buffer():
 def test_bounds_in_column_blocks_equal_one_block(monkeypatch, evaluated):
     rows = np.random.default_rng(evaluated).random((evaluated, 300))
     cols = np.arange(0, 300, 2)
-    whole = kmeans._lower_bounds(rows, cols)
+    whole = _lower_bounds(rows, cols)
     monkeypatch.setattr(kmeans, "_BOUND_BLOCK", 7 * 300)  # a few columns per block
-    assert kmeans._lower_bounds(rows, cols).tobytes() == whole.tobytes()
+    assert _lower_bounds(rows, cols).tobytes() == whole.tobytes()
     gap = np.abs(rows[:, cols, None] - rows[:, None, :]).max(axis=0)
     np.testing.assert_allclose(whole, gap.sum(axis=1), rtol=1e-12)
 
@@ -370,7 +371,7 @@ def test_float32_bounds_stay_within_the_row_pad(seed, kind, r, c):
     rng = np.random.default_rng(seed)
     rows = _float32_rows(kind, r, c, rng)
     cols = np.sort(rng.choice(c, size=min(c, 40), replace=False))
-    got = kmeans._lower_bounds(rows.astype(np.float32), cols)
+    got = _lower_bounds(rows.astype(np.float32), cols)
     exact = np.abs(rows[:, cols, None] - rows[:, None, :]).max(0).sum(1)
     # The search's pad is _ROW_PAD * 2 * c * ecc, and a row is at most 2 * ecc.
     pad = kmeans._ROW_PAD * c * rows.max()
@@ -583,7 +584,7 @@ def test_padded_bounds_equal_per_cluster_bounds_bit_for_bit(monkeypatch, block, 
         candidates[i, :k] = a + np.sort(rng.choice(c, size=k, replace=False))
     got = kmeans._padded_bounds(rows, starts, sizes, candidates, picks)
     for i, (a, c, k) in enumerate(zip(starts, sizes, picks)):
-        alone = kmeans._lower_bounds(rows[:, a:a + c], candidates[i, :k] - a)
+        alone = _lower_bounds(rows[:, a:a + c], candidates[i, :k] - a)
         assert got[i, :k].tobytes() == alone.tobytes()
 
 
@@ -629,13 +630,35 @@ def test_comp_centroids_empty_cluster_rejected():
 # -- stopping -------------------------------------------------------------------
 
 
-def test_stop_criterion_cases():
-    g = path_graph(10)  # 1 mm spacing
-    config = KmeansConfig(k=2)
-    assert stop_criterion([2, 7], [2, 7], g, 1, config)          # moved 0 mm
-    assert not stop_criterion([0, 9], [5, 9], g, 3, config)      # moved 5 mm
-    assert stop_criterion([0, 9], [5, 9], g, 20, config)         # iteration cap
-    assert stop_criterion([0, 9], [1, 9], g, 3, config)          # 1 mm < 2 mm
+def test_parallel_kmeans_stops_on_its_shift_or_at_the_cap():
+    # Two blocks in lockstep, each with its own cap and tolerance: a block
+    # stops at the first iteration whose shift is below its tolerance, or
+    # at its cap.
+    left, right = bumpy_grid_mesh(12, min_side=9, max_side=11), bumpy_grid_mesh(13)
+    mesh, halves = concat_meshes(left, TriangleMesh(right.vertices + [40.0, 0, 0],
+                                                    right.triangles))
+    g = build_graph(mesh)
+    outcomes = set()
+    for seed in range(4):
+        for max_iterations in (1, 2, 3, 20):
+            for tol in (0.5, 2.0):
+                blocks = [Block(np.flatnonzero(halves == h),
+                                KmeansConfig(k=3 + h, max_iterations=max_iterations,
+                                             convergence_tolerance_mm=tol, rng_seed=seed + h))
+                          for h in (0, 1)]
+                for block, res in zip(blocks, parallel_kmeans(g, blocks).blocks):
+                    assert res.converged_by_tolerance == (res.last_shift_mm < tol)
+                    assert 1 <= res.iterations <= max_iterations
+                    if not res.converged_by_tolerance:
+                        assert res.iterations == max_iterations
+                    elif res.iterations > 1:  # and not one iteration earlier
+                        config = KmeansConfig(k=block.k, max_iterations=res.iterations - 1,
+                                              convergence_tolerance_mm=tol,
+                                              rng_seed=block.config.rng_seed)
+                        sub = induced_subgraph(g, block.ids)
+                        assert not kmeans_alone(sub, config).converged_by_tolerance
+                    outcomes.add((res.converged_by_tolerance, res.iterations == max_iterations))
+    assert outcomes == {(True, True), (True, False), (False, True)}
 
 
 def test_max_centroid_shift():
@@ -668,9 +691,9 @@ def test_bridge_partition_from_any_centroid_pair():
         for it in range(1, config.max_iterations + 1):
             assignment, _ = calc_groups(g, centroids)
             new_centroids = comp_centroids(g, assignment, centroids)
-            done = stop_criterion(centroids, new_centroids, g, it, config)
+            shift = max_centroid_shift_mm(centroids, new_centroids, g)
             centroids = new_centroids
-            if done:
+            if shift < config.convergence_tolerance_mm or it >= config.max_iterations:
                 break
         groups = sorted((frozenset(np.flatnonzero(assignment == i).tolist())
                          for i in range(2)), key=min)
@@ -745,7 +768,7 @@ def test_groups_connected_under_perturbed_weights():
             while frontier:
                 nxt = set()
                 for u in frontier:
-                    for v in g.neighbors(u)[0]:
+                    for v in neighbors(g, u)[0]:
                         v = int(v)
                         if v in members and v not in seen:
                             seen.add(v)

@@ -9,7 +9,8 @@ from geosp.surface_graph import MIN_EDGE_WEIGHT_MM
 from geosp.surface_graph import apsp as dijkstra_apsp
 
 from helpers import (MESH_KINDS, brute_force_triangle_edges, bumpy_grid_graph,
-                     bumpy_grid_mesh, irregular_mesh, path_graph, right_triangle_mesh)
+                     bumpy_grid_mesh, irregular_mesh, neighbors, path_graph,
+                     right_triangle_mesh)
 
 
 # -- graph construction ------------------------------------------------------
@@ -106,8 +107,8 @@ def test_csr_arrays_equal_the_lexsort_construction(kind):
 def test_adjacency_symmetric():
     g = bumpy_grid_graph(0)
     for u in range(g.vertex_count):
-        for v, w in zip(*g.neighbors(u)):
-            back_n, back_w = g.neighbors(int(v))
+        for v, w in zip(*neighbors(g, u)):
+            back_n, back_w = neighbors(g, int(v))
             assert w == back_w[list(back_n).index(u)]
 
 
@@ -163,6 +164,19 @@ def test_cut_graph_is_the_graph_of_the_edges_within_labels(kind):
     np.testing.assert_array_equal(cut.neighbor_indices, expected.neighbor_indices)
     np.testing.assert_array_equal(cut.neighbor_weights, expected.neighbor_weights)
     assert cut.positions is g.positions and g.edge_count == len(eu)  # g is left as it was
+
+
+@pytest.mark.parametrize("kind", MESH_KINDS)
+def test_cut_of_a_cut_graph_is_one_cut_by_both_labels(kind):
+    rng = np.random.default_rng(len(kind) + 2)
+    g = build_graph(irregular_mesh(kind, rng))
+    a, b = rng.integers(0, 2, size=(2, g.vertex_count))
+    twice = cut_graph(cut_graph(g, a), b)
+    once = cut_graph(g, a * (b.max() + 1) + b)
+    for x, y in zip((*twice.edges(), twice.indptr, twice.neighbor_indices, twice.neighbor_weights),
+                    (*once.edges(), once.indptr, once.neighbor_indices, once.neighbor_weights)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert twice.edge_count == once.edge_count < cut_graph(g, a).edge_count
 
 
 def test_subgraph_absent_region_errors():
