@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -204,48 +203,42 @@ _FIRST_REFRESH = 16
 _ROW_ROOM = 32
 
 
-class _Layout:
-    """Clusters side by side: flat arrays hold every member of every
-    cluster, cluster after cluster. For the row-wise sorts, `groups` lay the
-    clusters out as padded (clusters x width) blocks of flat positions, the
-    padding pointing one past the last member. A group takes clusters by
-    size, largest first, while each keeps more than half the group's width
-    and the block stays within _BOUND_BLOCK / 8 elements (a larger cluster
-    is a group alone), so the blocks hold at most twice the members.
-    """
-
-    def __init__(self, sizes: np.ndarray):
-        self.sizes = sizes
-        self.starts = np.cumsum(sizes) - sizes
-        self.cluster = np.repeat(np.arange(len(sizes)), sizes)
-
-    @cached_property
-    def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(block of flat positions, member count per block row) per group."""
-        groups = []
-        order = np.argsort(-self.sizes, kind="stable")
-        halves = -2 * self.sizes[order]  # ascending
-        first = 0
-        while first < len(order):
-            width = self.sizes[order[first]]
-            last = min(int(np.searchsorted(halves, -width)), first + _BOUND_BLOCK // 8 // width)
-            members = order[first:max(last, first + 1)]
-            counts = self.sizes[members]
-            col = np.arange(width)
-            block = self.starts[members, None] + col
-            block[col >= counts[:, None]] = len(self.cluster)
-            groups.append((block, counts))
-            first += len(members)
-        return groups
+def _runs(sizes: np.ndarray, budget):
+    """[a, end) runs of clusters side by side (sizes must not increase), one
+    padded block each: a run takes clusters while each keeps more than half
+    of the first one's size w, so padding at most doubles the members, and
+    at most budget(w) of them; a larger cluster is a run alone."""
+    halved = np.searchsorted(-2 * sizes, -sizes).tolist()  # first at most half as large
+    width, a = sizes.tolist(), 0
+    while a < len(width):
+        end = max(a + 1, min(halved[a], a + budget(width[a])))
+        yield a, end
+        a = end
 
 
-def _abs_sums(values: np.ndarray, layout: _Layout) -> np.ndarray:
+def _sort_blocks(starts: np.ndarray, sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks in which _abs_sums sorts the members of clusters side by
+    side: per run of _runs within _BOUND_BLOCK / 8 elements, a padded
+    (clusters x width) block of flat positions, the padding -1, and the
+    member count of each block row."""
+    blocks = []
+    for a, end in _runs(sizes, lambda w: _BOUND_BLOCK // 8 // w):
+        counts = sizes[a:end]
+        col = np.arange(counts[0])
+        block = starts[a:end, None] + col
+        block[col >= counts[:, None]] = -1
+        blocks.append((block, counts))
+    return blocks
+
+
+def _abs_sums(values: np.ndarray, blocks) -> np.ndarray:
     """Per member x: sum over the members j of x's cluster of
-    |values[j] - values[x]|, from one row-wise sort and prefix sums (the
-    values below x's add x's value minus theirs, those above the reverse)."""
-    padded = np.append(values, np.nan)  # sorts after every value
+    |values[j] - values[x]|, from one row-wise sort of each of the
+    _sort_blocks `blocks` and prefix sums (the values below x's add x's
+    value minus theirs, those above the reverse)."""
+    padded = np.append(values, np.nan)  # where the padding points; sorts after every value
     out = np.empty(len(values))
-    for block, counts in layout.groups:
+    for block, counts in blocks:
         order = np.argsort(padded[block], axis=1, kind="stable")
         where = np.take_along_axis(block, order, axis=1)
         ranked = padded[where]
@@ -259,18 +252,18 @@ def _abs_sums(values: np.ndarray, layout: _Layout) -> np.ndarray:
     return out
 
 
-def _pair_bounds(a: np.ndarray, b: np.ndarray, layout: _Layout) -> np.ndarray:
+def _pair_bounds(a: np.ndarray, b: np.ndarray, blocks) -> np.ndarray:
     """The bound of _padded_bounds from the rows a and b, for every member at once:
     max(|da|, |db|) = (|da + db| + |da - db|) / 2, summed by _abs_sums."""
-    return 0.5 * (_abs_sums(a + b, layout) + _abs_sums(a - b, layout))
+    return 0.5 * (_abs_sums(a + b, blocks) + _abs_sums(a - b, blocks))
 
 
-def _first_max(values: np.ndarray, layout: _Layout) -> np.ndarray:
+def _first_max(values: np.ndarray, starts: np.ndarray, cluster: np.ndarray) -> np.ndarray:
     """Per cluster, the position in it of its largest value (the first of
     equal ones, as np.argmax)."""
-    top = np.maximum.reduceat(values, layout.starts)
-    hits = np.flatnonzero(values == top[layout.cluster])
-    return hits[np.searchsorted(hits, layout.starts)] - layout.starts
+    top = np.maximum.reduceat(values, starts)
+    hits = np.flatnonzero(values == top[cluster])
+    return hits[np.searchsorted(hits, starts)] - starts
 
 
 def _padded_bounds(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
@@ -288,31 +281,29 @@ def _padded_bounds(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
     it stands in for the padding. Returns the bounds in the layout of
     `candidates`; past picks[i] they mean nothing.
 
-    Clusters go side by side into padded blocks, as _Layout groups them: a
-    block takes clusters while each keeps more than half of the first one's
-    size, so padding at most doubles the members, and holds about a quarter
-    of _BOUND_BLOCK elements (in the desk benchmark's refreshes that took a
-    quarter less time than the whole); a larger cluster is a block alone,
-    built in blocks of candidates of at most _BOUND_BLOCK elements. The
-    gaps of padded members are set to zero before the float64 sum, which
-    keeps the bits of the sum over the members alone because it is exact:
-    every float32 gap is a multiple of the float32 spacing g of the
-    smallest nonzero row value d, and a sum of at most c * 2 * ecc stays on
-    that grid while it is below 2**53 * g, that is while c * ecc / d <
-    2**28 (for paper-scale clusters about 870 * 60 mm / 0.5 mm). Beyond
-    that a bound can differ from it by its rounding, which the row pad
-    covers.
+    Clusters go side by side into the padded blocks of _runs, of about a
+    quarter of _BOUND_BLOCK elements each (in the desk benchmark's
+    refreshes that took a quarter less time than the whole); a larger
+    cluster is a block alone, built in blocks of candidates of at most
+    _BOUND_BLOCK elements. The gaps of padded members are set to zero
+    before the float64 sum, which keeps the bits of the sum over the
+    members alone because it is exact: every float32 gap is a multiple of
+    the float32 spacing g of the smallest nonzero row value d, and a sum of
+    at most c * 2 * ecc stays on that grid while it is below 2**53 * g,
+    that is while c * ecc / d < 2**28 (for paper-scale clusters about
+    870 * 60 mm / 0.5 mm). Beyond that a bound can differ from it by its
+    rounding, which the row pad covers.
     """
     r = len(rows)
     n, k = candidates.shape
     lower = np.empty((n, k))
-    halved = np.searchsorted(-2 * sizes, -sizes).tolist()  # first at most half as large
     width, first, most = sizes.tolist(), starts.tolist(), picks.tolist()
-    a = 0
-    while a < n:
-        w = width[a]
-        k_step = min(k, max(1, _BOUND_BLOCK // (r * w)))
-        end = max(a + 1, min(halved[a], a + _BOUND_BLOCK // 4 // (r * k_step * w)))
+
+    def step(w):  # candidates per block of a run of width w
+        return min(k, max(1, _BOUND_BLOCK // (r * w)))
+
+    for a, end in _runs(sizes, lambda w: _BOUND_BLOCK // 4 // (r * step(w) * w)):
+        w, k_step = width[a], step(width[a])
         these = slice(a, end)
         # The member axis must be contiguous, and the subtraction's result
         # in C order, for the ufuncs below to be fast: with the rows
@@ -339,7 +330,6 @@ def _padded_bounds(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
             if padded:
                 top *= real
             lower[these, cut] = top.sum(axis=2, dtype=np.float64)
-        a = end
     return lower
 
 
@@ -539,99 +529,59 @@ def _first_rows(within: SurfaceGraph, keys: np.ndarray, ids: np.ndarray, sizes: 
     """The first three rows of the medoid search of every cluster at once.
 
     Cluster keys[i] has sizes[i] members, side by side in `ids` (each
-    cluster's ascending); `row` holds each one's first row, from its member
-    at position p[i]. The second row is the member farthest from the first,
-    the third the member farthest from both; each is one sweep from every
-    cluster still open. After each row the bounds of every member come from
-    row-wise sorts (_abs_sums): the one-row bound, the two-row bound, then
-    the largest of the three pairwise two-row bounds, which the
-    _FlatMedoidSearch takes as its candidates' first stale bounds.
+    cluster's ascending, sizes not increasing); `row` holds each one's first
+    row, from its member at position p[i]. The second row is the member
+    farthest from the first, the third the member farthest from both; each
+    is one sweep from every cluster still open. After each row the bounds
+    of every member come from row-wise sorts (_abs_sums): the one-row bound,
+    the two-row bound, then the largest of the three pairwise two-row
+    bounds, which the _FlatMedoidSearch takes as its candidates' first stale
+    bounds.
 
     Sets medoids[key] of each cluster whose search ends within three rows
     and returns a _FlatMedoidSearch carrying on the others, or None.
     """
-    layout = _Layout(sizes)
-    largest = 2 * sizes * np.maximum.reduceat(row, layout.starts)  # 2 * c * ecc
+    starts, cluster = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+    blocks = _sort_blocks(starts, sizes)
+    largest = 2 * sizes * np.maximum.reduceat(row, starts)  # 2 * c * ecc
     best_sum, best = np.full(len(keys), np.inf), np.zeros(len(keys), dtype=np.int64)
     rows, pair = [], None
     open_ = np.ones(len(ids), dtype=bool)
     for r in range(3):
         rows.append(row)
-        total = _totals(row, layout.sizes)
+        total = _totals(row, sizes)
         better = (total < best_sum) | ((total == best_sum) & (p < best))
         best_sum, best = np.where(better, total, best_sum), np.where(better, p, best)
-        open_[layout.starts + p] = False
+        open_[starts + p] = False
         if r == 0:
-            lower = _abs_sums(row, layout)
+            lower = _abs_sums(row, blocks)
         elif r == 1:
-            lower = pair = _pair_bounds(rows[0], row, layout)
+            lower = pair = _pair_bounds(rows[0], row, blocks)
         else:
-            lower = np.maximum(pair, _pair_bounds(rows[0], row, layout))
-            np.maximum(lower, _pair_bounds(rows[1], row, layout), out=lower)
-        open_ &= lower <= (best_sum + _PRUNE_PAD * largest)[layout.cluster]
-        still = np.bincount(layout.cluster[open_], minlength=len(keys)) > 0
-        medoids[keys[~still]] = ids[layout.starts + best][~still]
+            lower = np.maximum(pair, _pair_bounds(rows[0], row, blocks))
+            np.maximum(lower, _pair_bounds(rows[1], row, blocks), out=lower)
+        open_ &= lower <= (best_sum + _PRUNE_PAD * largest)[cluster]
+        still = np.bincount(cluster[open_], minlength=len(keys)) > 0
+        medoids[keys[~still]] = ids[starts + best][~still]
         if not still.all():
-            kept = still[layout.cluster]
-            keys, best_sum, best, largest = keys[still], best_sum[still], best[still], largest[still]
+            kept = still[cluster]
+            keys, sizes, best_sum, best, largest = (
+                x[still] for x in (keys, sizes, best_sum, best, largest))
             ids, row, open_, lower = ids[kept], row[kept], open_[kept], lower[kept]
             rows = [x[kept] for x in rows]
             pair = pair[kept] if pair is not None else None
-            layout = _Layout(layout.sizes[still])
+            starts, cluster = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
         if r == 2 or not len(keys):
             break
-        p = _first_max(row if r == 0 else np.minimum(rows[0], row), layout)
-        row = _sweep(within, ids[layout.starts + p])[ids]
+        if not still.all():  # the new layout's, once another row needs them
+            blocks = _sort_blocks(starts, sizes)
+        p = _first_max(row if r == 0 else np.minimum(rows[0], row), starts, cluster)
+        row = _sweep(within, ids[starts + p])[ids]
     if not len(keys):
         return None
     candidates = np.flatnonzero(open_)
-    return _FlatMedoidSearch(keys, ids, layout.sizes, rows, candidates, lower[candidates],
+    return _FlatMedoidSearch(keys, ids, sizes, rows, candidates, lower[candidates],
                              best_sum, best, _ROW_PAD * largest)
-
-
-def _medoids(graph: SurfaceGraph, assignment: np.ndarray, order: np.ndarray, sizes: np.ndarray,
-             previous: np.ndarray, dist: np.ndarray | None) -> list[int]:
-    """Exact medoids of all clusters, in lockstep: each round is one sweep
-    over the intra-cluster edges, with one source per still-open cluster.
-    Cluster i has sizes[i] members, side by side in `order`, each cluster's
-    ascending."""
-    within = cut_graph(graph, assignment)
-    starts = np.cumsum(sizes) - sizes
-    cluster = np.repeat(np.arange(len(sizes)), sizes)
-    # First row: from the previous centroid if the cluster holds it.
-    anchored = np.bincount(cluster[order == previous[cluster]], minlength=len(sizes)) > 0
-    anchors = np.where(anchored, previous, order[starts])
-    medoids = anchors.copy()  # the medoid of a cluster with one reachable member
-    many = sizes > 1
-    swept = many & ~anchored if dist is not None else many
-    row = dist[order] if dist is not None else np.empty(len(order))
-    if swept.any():
-        mine = swept[cluster]
-        row[mine] = _sweep(within, anchors[swept])[order[mine]]
-    reached = many[cluster] & np.isfinite(row)
-    cut_off = np.bincount(cluster[many[cluster] & ~reached], minlength=len(sizes)) > 0
-    if np.any(cut_off & ~anchored):
-        raise ValueError("disconnected cluster without its previous centroid")
-    counts = np.bincount(cluster[reached], minlength=len(sizes))
-    # The searched clusters, largest first, as _totals and _padded_bounds
-    # want them.
-    keys = np.flatnonzero(counts > 1)
-    keys = keys[np.argsort(-counts[keys], kind="stable")]
-    if len(keys):
-        place = np.full(len(sizes), len(keys))
-        place[keys] = np.arange(len(keys))
-        flat = np.flatnonzero(reached)
-        flat = flat[np.argsort(place[cluster[flat]], kind="stable")][:counts[keys].sum()]
-        ids = order[flat]
-        p = np.flatnonzero(ids == anchors[cluster[flat]]) - (np.cumsum(counts[keys]) - counts[keys])
-        search = _first_rows(within, keys, ids, counts[keys], row[flat], p, medoids)
-        if search is not None:
-            going = search.prune()
-            while going:
-                going = search.take(_sweep(within, search.sources))
-            done, found = search.medoids()
-            medoids[done] = found
-    return medoids.tolist()
 
 
 def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
@@ -643,11 +593,11 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
     pruned search (_first_rows, then _FlatMedoidSearch) over rows from the
     previous centroid, two far members and the candidates whose lower bound
     could still win.
-    All clusters search at once: every round is one sweep over the graph
-    with the edges between clusters cut, from one source per open cluster.
-    For a disconnected cluster subgraph the medoid is taken on the component
-    containing that cluster's previous centroid. Vertices with an id outside
-    [0, k) belong to no cluster.
+    All clusters search at once, side by side, largest first: every round
+    is one sweep over the graph with the edges between clusters cut, from
+    one source per open cluster. For a disconnected cluster subgraph the
+    medoid is taken on the component containing that cluster's previous
+    centroid. Vertices with an id outside [0, k) belong to no cluster.
 
     `dist` is optional: the multi-source field that `assignment` came from
     (multi_source_sssp over `centroids`, as parallel_kmeans computes it).
@@ -665,8 +615,45 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
     sizes = np.bincount(assignment[members], minlength=k)
     if not sizes.all():
         raise ValueError(f"cluster {int(np.argmin(sizes))} is empty")
+    # Every cluster's members, ascending, cluster after cluster.
     order = members[np.argsort(assignment[members], kind="stable")]
-    return _medoids(graph, assignment, order, sizes, np.asarray(centroids, dtype=np.int64), dist)
+    cluster, starts = assignment[order], np.cumsum(sizes) - sizes
+    previous = np.asarray(centroids, dtype=np.int64)
+    within = cut_graph(graph, assignment)
+    # First row: from the previous centroid if the cluster holds it.
+    anchored = np.bincount(cluster[order == previous[cluster]], minlength=k) > 0
+    anchors = np.where(anchored, previous, order[starts])
+    medoids = anchors.copy()  # the medoid of a cluster with one reachable member
+    many = sizes > 1
+    swept = many & ~anchored if dist is not None else many
+    row = dist[order] if dist is not None else np.empty(len(order))
+    if swept.any():
+        mine = swept[cluster]
+        row[mine] = _sweep(within, anchors[swept])[order[mine]]
+    reached = many[cluster] & np.isfinite(row)
+    cut_off = np.bincount(cluster[many[cluster] & ~reached], minlength=k) > 0
+    if np.any(cut_off & ~anchored):
+        raise ValueError("disconnected cluster without its previous centroid")
+    counts = np.bincount(cluster[reached], minlength=k)
+    # The searched clusters, largest first, as _totals and _padded_bounds
+    # want them.
+    keys = np.flatnonzero(counts > 1)
+    keys = keys[np.argsort(-counts[keys], kind="stable")]
+    if len(keys):
+        place = np.full(k, len(keys))
+        place[keys] = np.arange(len(keys))
+        flat = np.flatnonzero(reached)
+        flat = flat[np.argsort(place[cluster[flat]], kind="stable")][:counts[keys].sum()]
+        ids = order[flat]
+        p = np.flatnonzero(ids == anchors[cluster[flat]]) - (np.cumsum(counts[keys]) - counts[keys])
+        search = _first_rows(within, keys, ids, counts[keys], row[flat], p, medoids)
+        if search is not None:
+            going = search.prune()
+            while going:
+                going = search.take(_sweep(within, search.sources))
+            done, found = search.medoids()
+            medoids[done] = found
+    return medoids.tolist()
 
 
 def max_centroid_shift_mm(old: list[int], new: list[int], graph: SurfaceGraph) -> float:

@@ -140,11 +140,17 @@ _QUOTIENTS = _exact_quotients(np.longdouble if np.finfo(np.longdouble).nmant in 
 
 def _file_bytes(path) -> bytes:
     """The bytes of the file at `path`, ending in LF, cut at LF into the lines
-    of str.splitlines() (see above)."""
+    of str.splitlines() (see above). A byte that is not UTF-8 is a
+    FormatError at the line splitlines() puts it on."""
     data = Path(path).read_bytes()
     if (not data.isascii() or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
             or any(c in data for c in _SPLIT_LINES)):
-        return "".join(line.strip() + "\n" for line in data.decode("utf-8").splitlines()).encode()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = len((data[:e.start].decode("utf-8") + "x").splitlines())
+            raise FormatError(path, line, f"not UTF-8 text: byte {data[e.start]:#04x}") from None
+        return "".join(line.strip() + "\n" for line in text.splitlines()).encode()
     return data if data.endswith(b"\n") or not data else data + b"\n"
 
 
@@ -529,12 +535,16 @@ def _load_ply(path: Path) -> TriangleMesh:
             if count < 0:
                 raise FormatError(path, lineno,
                                   f"element count must be a non-negative integer: {line!r}")
+            if (nv if tokens[1] == "vertex" else nf) is not None:
+                raise FormatError(path, lineno, f"duplicate element {tokens[1]!r}")
             current = tokens[1]
             if current == "vertex":
                 nv = count
             else:
                 nf = count
         elif tokens[0] == "property":
+            if len(tokens) < 3:
+                raise FormatError(path, lineno, f"malformed property line: {line!r}")
             if current == "vertex":
                 if tokens[1] == "list":
                     raise FormatError(path, lineno, "list property not allowed on vertices")

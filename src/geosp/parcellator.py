@@ -3,7 +3,9 @@
 Atlas mode runs one k-means per labeled region, whole mode one per
 hemisphere. All of them run as blocks of one lockstep k-means call
 (kmeans.parallel_kmeans) over the mesh graph with the edges between labels
-cut, so every shortest-path sweep serves every region at once. `workers` is
+cut, so every shortest-path sweep serves every region at once. Parcels are
+numbered from the blocks' assignments: a region's sub-parcel ids are its
+block's cluster ids after those of the regions below it. `workers` is
 validated and accepted but does not change how they run. Each region draws
 its RNG seed from the base seed XOR a hash of its region id and keeps its
 own iteration count and stop test, so results never depend on worker
@@ -122,40 +124,6 @@ class ParcellationResult:
         }
 
 
-def _run_tasks(graph, labels, tasks, config):
-    """Run (region, k) clustering tasks; returns per-task (groups, RegionRun).
-
-    Every task is one block of a single lockstep k-means over `graph` with
-    the edges between labels cut. Each is a pure function of (graph, labels,
-    task, config): no block's result depends on the others.
-    """
-    blocks = [Block(np.flatnonzero(labels == region),
-                    replace(config, k=k, rng_seed=derive_seed(config.rng_seed, region)))
-              for region, k in tasks]
-    result = parallel_kmeans(cut_graph(graph, labels), blocks)
-    return [(res.groups, RegionRun(region=region, k=k, vertex_count=len(b.ids),
-                                   iterations=res.iterations,
-                                   converged_by_tolerance=res.converged_by_tolerance,
-                                   euclidean_fallbacks=res.euclidean_fallbacks,
-                                   seconds=res.seconds))
-            for (region, k), b, res in zip(tasks, blocks, result.blocks)]
-
-
-def _assemble(vertex_count: int, outputs) -> Parcellation:
-    """Assign contiguous global ids in ascending (region, local cluster) order."""
-    sub = np.full(vertex_count, -1, dtype=np.int64)
-    provenance: dict[int, tuple[int, int]] = {}
-    gid = 0
-    for (region, _k), (groups, _run) in outputs:
-        for local, members in enumerate(groups):
-            sub[members] = gid
-            provenance[gid] = (region, local)
-            gid += 1
-    if (sub < 0).any():
-        raise AssertionError("parcellation does not cover every vertex")
-    return Parcellation(sub, provenance)
-
-
 def _vertex_labels(mesh: TriangleMesh, labels, what: str, workers: int):
     """Checked int64 per-vertex labels, their distinct values and the vertex count of each."""
     if workers < 1:
@@ -168,13 +136,32 @@ def _vertex_labels(mesh: TriangleMesh, labels, what: str, workers: int):
 
 
 def _parcellate(mesh: TriangleMesh, labels, tasks, config) -> ParcellationResult:
-    """The body both modes share: build the graph, run the tasks, number the parcels."""
+    """The body both modes share. Every (region, k) task is one block of a
+    single lockstep k-means over the mesh graph with the edges between
+    labels cut; parcels are numbered in ascending (region, local cluster)
+    order."""
     graph = build_graph(mesh)
     t0 = time.perf_counter()
-    results = _run_tasks(graph, labels, tasks, config or KmeansConfig(k=1))
+    config = config or KmeansConfig(k=1)
+    blocks = [Block(np.flatnonzero(labels == region),
+                    replace(config, k=k, rng_seed=derive_seed(config.rng_seed, region)))
+              for region, k in tasks]
+    result = parallel_kmeans(cut_graph(graph, labels), blocks)
     total = time.perf_counter() - t0
-    parcellation = _assemble(mesh.vertex_count, list(zip(tasks, results)))
-    return ParcellationResult(parcellation, [r for _g, r in results], total)
+    sub = np.full(mesh.vertex_count, -1, dtype=np.int64)
+    provenance: dict[int, tuple[int, int]] = {}
+    runs, first = [], 0
+    for (region, k), block, res in zip(tasks, blocks, result.blocks):
+        sub[block.ids] = first + res.assignment
+        provenance.update((first + local, (region, local)) for local in range(k))
+        runs.append(RegionRun(region=region, k=k, vertex_count=len(block.ids),
+                              iterations=res.iterations,
+                              converged_by_tolerance=res.converged_by_tolerance,
+                              euclidean_fallbacks=res.euclidean_fallbacks, seconds=res.seconds))
+        first += k
+    if (sub < 0).any():
+        raise AssertionError("parcellation does not cover every vertex")
+    return ParcellationResult(Parcellation(sub, provenance), runs, total)
 
 
 def parcellate_atlas_mode(mesh: TriangleMesh, labels, plan: AtlasPlan,

@@ -220,15 +220,7 @@ def perturb_weights(graph: SurfaceGraph, rng_seed: int,
     return SurfaceGraph(graph.positions, eu, ev, ew + noise)
 
 
-def make_fibers(n_vertices: int, count: int, rng_seed: int = 0,
-                mesh: TriangleMesh | None = None, as_points: bool = False) -> list:
-    """Random fiber endpoint pairs: vertex indices, or jittered points near vertices."""
-    rng = np.random.default_rng(rng_seed)
-    pairs = rng.integers(0, n_vertices, size=(count, 2))
-    if not as_points:
-        return [(int(p), int(q)) for p, q in pairs]
-    if mesh is None:
-        raise ValueError("point fibers need the mesh for vertex positions")
-    jitter = rng.normal(scale=1e-3, size=(count, 2, 3))
-    return [(mesh.vertices[p] + jitter[i, 0], mesh.vertices[q] + jitter[i, 1])
-            for i, (p, q) in enumerate(pairs)]
+def make_fibers(n_vertices: int, count: int, rng_seed: int = 0) -> list:
+    """Random fiber endpoint pairs of vertex indices."""
+    pairs = np.random.default_rng(rng_seed).integers(0, n_vertices, size=(count, 2))
+    return [(int(p), int(q)) for p, q in pairs]

@@ -120,6 +120,26 @@ def test_parcellate_whole_two_meshes_reject_hemis(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_parcellate_whole_rejects_three_meshes(tmp_path, capsys):
+    assert run(["synth", "--kind", "icosphere", "--level", "1", "--out", str(tmp_path)]) == 0
+    mesh, out = str(tmp_path / "mesh.off"), tmp_path / "whole"
+    assert run(["parcellate-whole", "--mesh", mesh, mesh, mesh, "--k", "2",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "geosp: error: --mesh takes one or two paths\n"
+    assert not out.exists()
+
+
+def test_non_utf8_input_fails_with_its_file_and_line(tmp_path, capsys):
+    synth = _synth_atlas(tmp_path)
+    mesh = tmp_path / "bad.off"
+    text = (synth / "mesh.off").read_bytes().splitlines(keepends=True)
+    text[3] = text[3].replace(b" ", b"\xff ", 1)
+    mesh.write_bytes(b"".join(text))
+    assert run(["parcellate-atlas", "--mesh", str(mesh), "--labels", str(synth / "labels.txt"),
+                "--k", "2", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"geosp: error: {mesh}:4: not UTF-8 text: byte 0xff\n"
+
+
 def test_module_form_runs_the_cli(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = tmp_path / "grid"
@@ -155,6 +175,17 @@ def test_connectivity_and_dice_pipeline(tmp_path):
                 "--out", str(report)]) == 0
     lines = report.read_text().splitlines()
     assert "mean 1.0000" in lines
+
+
+def test_dice_without_out_writes_the_report_to_stdout(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("2\n1 1\n1 0\n")
+    b.write_text("2\n1 0\n0 3\n")
+    report = tmp_path / "dice.txt"
+    assert run(["dice", str(a), str(b), "--out", str(report)]) == 0
+    assert capsys.readouterr().out == f"dice report -> {report}\n"
+    assert run(["dice", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == report.read_text()
 
 
 def test_connectivity_rejects_non_finite_point(tmp_path, capsys):

@@ -397,6 +397,14 @@ def test_matrix_trailing_content_is_a_format_error(tmp_path, text, line, shown):
     assert err.value.line_no == line
 
 
+def test_negative_matrix_size_is_a_format_error(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("-2\n")
+    with pytest.raises(FormatError) as err:
+        load_matrix(p)
+    assert str(err.value) == f"{p}:1: matrix size must be non-negative, got -2"
+
+
 def test_matrix_trailing_blank_lines_are_accepted(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("2\n1 0\n0 1\n\n  \t \r\n\n")
@@ -438,6 +446,15 @@ def test_fiber_parse_errors(tmp_path, text, line):
     with pytest.raises(FormatError) as err:
         load_fibers(p)
     assert err.value.line_no == line
+
+
+def test_bare_vertex_token_in_a_plain_block_is_a_format_error(tmp_path):
+    """A 'v:' with no id leaves the bulk pass, and the per-line parse names it."""
+    p = tmp_path / "f.txt"
+    p.write_text("v:0 v:1\n" * 3 + "v:2 v:\n" + "v:1 v:0\n")
+    with pytest.raises(FormatError) as err:
+        load_fibers(p)
+    assert str(err.value) == f"{p}:4: bad vertex endpoint 'v:'"
 
 
 def test_build_binarize_preserves_symmetry():

@@ -420,11 +420,13 @@ def _bound_rows(kind, sizes, rng):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["float", "integer", "repeated"]),
        st.lists(st.sampled_from([2, 2, 3, 5, 8, 13, 40, 90]), min_size=1, max_size=12))
 def test_prefix_sum_bounds_equal_brute_force(seed, kind, sizes):
+    sizes = np.sort(sizes)[::-1]  # largest first, as the medoid search lays clusters out
     rows = _bound_rows(kind, sizes, np.random.default_rng(seed))
-    layout = kmeans._Layout(np.array(sizes))
+    starts = np.cumsum(sizes) - sizes
+    blocks = kmeans._sort_blocks(starts, sizes)
     a, b = np.concatenate([r[0] for r in rows]), np.concatenate([r[1] for r in rows])
-    one, two = kmeans._abs_sums(a, layout), kmeans._pair_bounds(a, b, layout)
-    for r, start in zip(rows, layout.starts):
+    one, two = kmeans._abs_sums(a, blocks), kmeans._pair_bounds(a, b, blocks)
+    for r, start in zip(rows, starts):
         # A medoid row is at most twice the anchor's eccentricity, so the
         # search's pad is at least this.
         c = r.shape[1]
@@ -439,11 +441,11 @@ def test_prefix_sum_bounds_equal_brute_force(seed, kind, sizes):
 
 @pytest.mark.parametrize("sizes", [[1600] + [5, 9, 20] * 100, list(range(2, 300)), [2] * 5000])
 def test_layout_groups_pad_at_most_twice_the_members(sizes):
-    layout = kmeans._Layout(np.array(sizes))
-    blocks = [block for block, _ in layout.groups]
+    sizes = np.sort(sizes)[::-1]  # largest first, as the medoid search lays clusters out
+    blocks = [block for block, _ in kmeans._sort_blocks(np.cumsum(sizes) - sizes, sizes)]
     padded = sum(block.size for block in blocks)
     assert padded <= 2 * sum(sizes)
-    real = np.concatenate([block[block < sum(sizes)] for block in blocks])
+    real = np.concatenate([block[block >= 0] for block in blocks])
     assert np.array_equal(np.sort(real), np.arange(sum(sizes)))  # every member once
     assert all(block.size <= kmeans._BOUND_BLOCK // 8 or len(block) == 1 for block in blocks)
 
@@ -530,7 +532,7 @@ def test_lazy_refresh_evaluates_the_rows_of_a_full_refresh(seed, kind, k, first_
 
 def test_flat_search_of_350_atlas_clusters_equals_the_per_cluster_reference(monkeypatch):
     # 70 desk atlas regions at k=5: 350 clusters of varied size, so one
-    # refresh step spans several _Layout groups and pads both members and
+    # refresh step spans several padded blocks and pads both members and
     # candidates, and some clusters need a second refresh step.
     mesh, regions, _ = atlas_mesh(100, 98)
     g = cut_graph(build_graph(mesh), regions)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosp import (FormatError, TriangleMesh, color_for_id, concat_meshes,
-                   load_labels, load_mesh, save_matrix, write_labels, write_mesh,
-                   write_parcellation)
+from geosp import (AtlasPlan, FormatError, TriangleMesh, color_for_id, concat_meshes,
+                   load_fibers, load_labels, load_matrix, load_mesh, save_matrix, write_labels,
+                   write_mesh, write_parcellation)
 from geosp import mesh_io
 from geosp.mesh_io import PALETTE_SIZE
 
@@ -77,6 +77,7 @@ def test_binary_ply_rejected(tmp_path):
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", 6, "repeats"),
     ("OFF\n3 1 0\n0 0 x\n1 0 0\n0 1 0\n3 0 1 2\n", 3, "coordinates"),
     ("OFF\n3 1 0\n0 0 0\n# comment\nnan 0 0\n0 1 0\n3 0 1 2\n", 5, "non-finite"),
+    (OFF_MINIMAL + "\n3 0 1 2\n", 8, "unexpected trailing content: '3 0 1 2'"),
 ])
 def test_off_errors_carry_line_numbers(tmp_path, text, line, msg):
     p = tmp_path / "bad.off"
@@ -120,6 +121,86 @@ def test_first_bad_line_is_reported_whether_a_rule_or_a_token_breaks(tmp_path, n
         (load_labels if name.endswith(".txt") else load_mesh)(p)
     assert err.value.line_no == line
     assert msg in str(err.value)
+
+
+def _ply(old="", new=""):
+    """The three-vertex one-face PLY file, with its first `old` made `new`."""
+    return (PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n").replace(old, new, 1)
+
+
+@pytest.mark.parametrize("text,line,msg", [
+    ("", 1, "expected 'ply' magic line"),
+    (_ply("ply", "plx"), 1, "expected 'ply' magic line"),
+    (_ply("format ascii", "format binary_big_endian"),
+     2, "only ASCII PLY is supported, got 'format binary_big_endian 1.0'"),
+    (_ply("element vertex 3", "element vertex"), 3, "malformed element line: 'element vertex'"),
+    (_ply("element face", "element edge"), 7, "unsupported element 'edge'"),
+    (_ply("vertex 3", "vertex -3"),
+     3, "element count must be a non-negative integer: 'element vertex -3'"),
+    (_ply("vertex 3", "vertex three"),
+     3, "element count must be a non-negative integer: 'element vertex three'"),
+    (_ply("element face 1", "element vertex 3"), 7, "duplicate element 'vertex'"),
+    (_ply("element face 1\n", "element face 1\nelement face 1\n"), 8, "duplicate element 'face'"),
+    (_ply("property float y", "property list uchar float y"),
+     5, "list property not allowed on vertices"),
+    (_ply("property float y", "property"), 5, "malformed property line: 'property'"),
+    (_ply("property float y", "  property  \t"), 5, "malformed property line: 'property'"),
+    (_ply("property float y", "properties float y"),
+     5, "unexpected header line: 'properties float y'"),
+    (PLY_HEADER.replace("end_header\n", ""), 8, "missing end_header"),
+    (_ply("format ascii 1.0\n"), 1, "missing 'format ascii 1.0' line"),
+    (_ply("element vertex 3\n"), 8, "missing 'element vertex' declaration"),
+    (_ply("vertex 3", "vertex 0"), 9, "empty vertex list"),
+    (_ply("float z", "float w"), 9, "vertex element must declare x, y, z properties"),
+    (_ply("3 0 1 2\n"), 13, "expected 3 vertex and 1 face lines, got 3"),
+    (_ply("3 0 1 2\n", "3 0 1 2\n\n3 1 2 0\n"), 15, "unexpected trailing content: '3 1 2 0'"),
+])
+def test_ply_header_rejections_name_their_line(tmp_path, text, line, msg):
+    p = tmp_path / "bad.ply"
+    p.write_text(text)
+    with pytest.raises(FormatError) as err:
+        load_mesh(p)
+    assert str(err.value) == f"{p}:{line}: {msg}"
+
+
+@pytest.mark.parametrize("name,data,line,byte", [
+    ("m.off", b"OFF\n3 1 0\n0 0 0\n1 0\xff 0\n0 1 0\n3 0 1 2\n", 4, 0xff),
+    ("m.ply", _ply().encode().replace(b"1 0 0\n", b"1 0 0\xc3\n"), 11, 0xc3),
+    ("m.ply", _ply("format ascii 1.0\n", "format ascii 1.0\ncomment \xe9t\xe9\n").encode()
+     .replace(b"vertex 3", b"vertex \x803"), 4, 0x80),
+    ("labels.txt", b"# caf\xc3\xa9\n0\r1\n\xfe\n", 4, 0xfe),
+    ("matrix.txt", b"2\n1 0\n0 1\xff\n", 3, 0xff),
+    ("fibers.txt", b"v:0 v:1\n\n# \xe2\x88\x9e\nv:1 v:\x802\n", 4, 0x80),
+    ("plan.txt", b"0 5\n\x0c\n1 \xe9\n", 4, 0xe9),
+])
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, name, data, line, byte):
+    """The line is the one str.splitlines() gives the bad byte: valid UTF-8
+    before it counts as text, and a lone CR or a form feed ends a line."""
+    p = tmp_path / name
+    p.write_bytes(data)
+    load = {"m.off": load_mesh, "m.ply": load_mesh, "labels.txt": load_labels,
+            "matrix.txt": load_matrix, "fibers.txt": load_fibers,
+            "plan.txt": AtlasPlan.from_file}[name]
+    with pytest.raises(FormatError) as err:
+        load(p)
+    assert str(err.value) == f"{p}:{line}: not UTF-8 text: byte {byte:#04x}"
+
+
+def test_indents_deeper_than_eight_load_like_unindented_text(tmp_path):
+    """Indents past the eight bytes _Lines steps over together are stepped
+    over one line at a time, comment lines included."""
+    deep = tmp_path / "deep.off"
+    lines = OFF_MINIMAL.replace("3 0 1 2", "3 0 1 2\n# a note").splitlines()
+    deep.write_text("".join(" \t" * (4 + i) + line + "\n" for i, line in enumerate(lines)))
+    flat = tmp_path / "flat.off"
+    flat.write_text(OFF_MINIMAL)
+    want, got = load_mesh(flat), load_mesh(deep)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.triangles.tobytes() == want.triangles.tobytes()
+    fibers = tmp_path / "fibers.txt"
+    fibers.write_text(" " * 9 + "v:0 v:1\n" + "\t" * 12 + "# note\n" + " \t" * 6 + "v:2 v:0\n")
+    assert list(load_fibers(fibers)) == [(0, 1), (2, 0)]
+    assert load_fibers(fibers).line_numbers.tolist() == [1, 3]
 
 
 def test_ply_reads_only_the_coordinate_columns(tmp_path):
