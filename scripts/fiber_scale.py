@@ -9,8 +9,10 @@ seed. It writes them with `write_fibers` (repr digits, about 17 per
 coordinate) into a temporary directory, reads them back with `load_fibers`
 and counts them with `build_connectivity_matrix` against the 70 atlas
 regions. It prints the seconds of the write, the load and the snap-and-count,
-the peak RSS of the process and the sha256 of the count matrix, so that two
-versions of geosp can be compared for speed and for identical counts.
+the process CPU seconds of one more snap of the loaded points alone (one
+`map_endpoint_to_vertex` call; CPU time varies less between runs than wall
+time), the peak RSS of the process and the sha256 of the count matrix, so
+that two versions of geosp can be compared for speed and for identical counts.
 """
 import argparse
 import hashlib
@@ -22,7 +24,8 @@ from pathlib import Path
 import numpy as np
 from paper_scale import jittered_atlas
 
-from geosp import Fibers, build_connectivity_matrix, load_fibers, write_fibers
+from geosp import (Fibers, build_connectivity_matrix, load_fibers, map_endpoint_to_vertex,
+                   write_fibers)
 
 JITTER_MM = 1e-3  # as geobench's point fibres: endpoints next to the surface
 
@@ -49,11 +52,15 @@ def main():
         t2 = time.perf_counter()
     counts = build_connectivity_matrix(loaded, regions, mesh)
     t3 = time.perf_counter()
+    c0 = time.process_time()
+    map_endpoint_to_vertex(loaded.points, mesh)
+    snap_cpu = time.process_time() - c0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     digest = hashlib.sha256(np.ascontiguousarray(counts, dtype=np.int64).tobytes()).hexdigest()
-    print(f"{'write [s]':>10} {'load [s]':>9} {'snap+count [s]':>15} {'peak RSS [MB]':>14}"
-          f"  counts sha256")
-    print(f"{t1 - t0:>10.2f} {t2 - t1:>9.2f} {t3 - t2:>15.2f} {peak_mb:>14.1f}  {digest}")
+    print(f"{'write [s]':>10} {'load [s]':>9} {'snap+count [s]':>15} {'snap CPU [s]':>13}"
+          f" {'peak RSS [MB]':>14}  counts sha256")
+    print(f"{t1 - t0:>10.2f} {t2 - t1:>9.2f} {t3 - t2:>15.2f} {snap_cpu:>13.2f}"
+          f" {peak_mb:>14.1f}  {digest}")
 
 
 if __name__ == "__main__":

@@ -37,127 +37,181 @@ _SAMPLED_TRIANGLES = 4096
 _BRUTE_FORCE_SHARE = 4
 _BRUTE_FORCE = -2
 _WRITE_FIBERS = 1 << 14  # fibers formatted per write
+# (dx, dy) of the 9 (x, y) cell columns around a cell, in increasing key order.
+_COLUMN_DX = np.repeat([-1, 0, 1], 3)
+_COLUMN_DY = np.tile([-1, 0, 1], 3)
 
 
-def _squared_norms(d: np.ndarray) -> np.ndarray:
-    """Row-wise squared length of an (n, 3) difference array: the one distance formula."""
-    return np.einsum("ij,ij->i", d, d)
+def _squared_norms(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """(dx² + dz²) + dy², elementwise, written over `dx`: the one distance formula.
+
+    Every path sums the three squares in this order, so equal distances
+    round alike and ties resolve the same way in the grid pass and the scan.
+    """
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dz, dz, out=dz)
+    dx += dz
+    np.multiply(dy, dy, out=dy)
+    dx += dy
+    return dx
 
 
-def _cell_size(mesh: TriangleMesh) -> float:
+def _cell_size(x: np.ndarray, y: np.ndarray, z: np.ndarray, triangles: np.ndarray) -> float:
     """About the mean vertex spacing: the mean edge length of up to ~4k triangles.
 
     The cell size sets only the speed of snapping, never its result, so a
     strided sample of the triangles is enough and keeps the temporaries small.
     """
-    v, t = mesh.vertices, mesh.triangles
-    t = t[::max(1, len(t) // _SAMPLED_TRIANGLES)]
+    t = triangles[::max(1, len(triangles) // _SAMPLED_TRIANGLES)]
     h = 0.0
     if len(t):
-        edges = (v[t] - v[np.roll(t, 1, axis=1)]).reshape(-1, 3)
-        h = float(np.sqrt(_squared_norms(edges)).mean())
-    h = max(h, float(np.ptp(v, axis=0).max()) / _MAX_CELLS_PER_AXIS)
+        a, b = t.ravel(), np.roll(t, 1, axis=1).ravel()
+        h = float(np.sqrt(_squared_norms(x[a] - x[b], y[a] - y[b], z[a] - z[b])).mean())
+    h = max(h, max(np.ptp(x), np.ptp(y), np.ptp(z)) / _MAX_CELLS_PER_AXIS)
     return h if h > 0 else 1.0
 
 
 class _VertexGrid:
-    """Mesh vertices bucketed into cubic cells of side `h`, sorted by cell key."""
+    """Mesh vertices bucketed into cubic cells of side `h`, in cell-key order.
 
-    def __init__(self, vertices: np.ndarray, h: float):
-        self.vertices = vertices
+    `x`, `y` and `z` are the vertex coordinates in that order and `order[i]`
+    the vertex at position i. `keys` holds the distinct cell keys, increasing,
+    then 3 sentinels above every key; `first[j]` is the position of the first
+    vertex of key j, and `first[-1]` the vertex count.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, h: float):
         self.h = h
-        self.lo = vertices.min(axis=0)
-        cells = vertices - self.lo
-        cells /= h
-        cells = np.floor(cells, out=cells).astype(np.int64)
-        self.dims = cells.max(axis=0) + 1
-        key = self._key(cells[:, 0], cells[:, 1], cells[:, 2])
-        self.order = np.argsort(key, kind="stable")
-        self.keys = key[self.order]
+        self.lo = [c.min() for c in (x, y, z)]
+        cells = [np.floor((c - lo) / h).astype(np.int64) for c, lo in zip((x, y, z), self.lo)]
+        self.dims = [int(c.max()) + 1 for c in cells]
+        key = self._key(*cells)
+        self.order = np.argsort(key)
+        key = key[self.order]
+        self.x, self.y, self.z = x[self.order], y[self.order], z[self.order]
+        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        self.keys = np.concatenate([key[first], np.full(3, np.iinfo(np.int64).max)])
+        self.first = np.append(first, len(key))
 
     def _key(self, x, y, z):
         return (x * self.dims[1] + y) * self.dims[2] + z
 
-    def ranges(self, points: np.ndarray):
-        """(b, 9) start offsets into `order` and counts: the 3x3x3 cells around each point.
+    def _cell(self, c: np.ndarray, axis: int) -> np.ndarray:
+        """int64 cell coordinates of the coordinates `c` along `axis`.
+
+        A cell coordinate below -1 or above dims has only empty neighbours on
+        that axis, so clipping to [-2, dims + 1] changes no range and keeps
+        far points' coordinates small.
+        """
+        c = c - self.lo[axis]
+        c /= self.h
+        np.floor(c, out=c)
+        return np.clip(c, -2, self.dims[axis] + 1, out=c).astype(np.int64)
+
+    def ranges(self, px, py, pz):
+        """(b, 9) start positions and counts: the 3x3x3 cells around each point.
 
         The three cells of a z column have consecutive keys, so each of the 9
-        (x, y) columns is one contiguous range.
+        (x, y) columns is one contiguous range. Its start is the first key at
+        or above the column's lowest cell; its stop lies at most 3 distinct
+        keys further on.
         """
-        c = np.floor((points - self.lo) / self.h)
-        # A cell coordinate below -1 or above dims has only empty neighbours on that
-        # axis, so clipping to [-2, dims + 1] changes no range and keeps far points'
-        # coordinates small.
-        c = np.clip(c, -2, self.dims + 1).astype(np.int64)
-        offsets = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
-        x = c[:, 0:1] + offsets[:, 0]
-        y = c[:, 1:2] + offsets[:, 1]
-        z0 = np.maximum(c[:, 2:3] - 1, 0)
-        z1 = np.minimum(c[:, 2:3] + 1, self.dims[2] - 1)
+        cx, cy, cz = self._cell(px, 0), self._cell(py, 1), self._cell(pz, 2)
+        x = cx[:, None] + _COLUMN_DX
+        y = cy[:, None] + _COLUMN_DY
+        z0 = np.maximum(cz - 1, 0)[:, None]
+        z1 = np.minimum(cz + 1, self.dims[2] - 1)[:, None]
         inside = (x >= 0) & (x < self.dims[0]) & (y >= 0) & (y < self.dims[1]) & (z0 <= z1)
-        start = np.searchsorted(self.keys, self._key(x, y, z0), side="left")
-        stop = np.searchsorted(self.keys, self._key(x, y, z1), side="right")
-        return start, np.where(inside, stop - start, 0)
+        low = self._key(x, y, z0)
+        high = low + (z1 - z0)
+        i = np.searchsorted(self.keys, low)
+        stop = i + (self.keys[i] <= high)
+        stop += self.keys[i + 1] <= high
+        stop += self.keys[i + 2] <= high
+        start = self.first[i]
+        return start, np.where(inside, self.first[stop] - start, 0)
 
-    def nearest(self, points: np.ndarray, start: np.ndarray, count: np.ndarray):
+    def nearest(self, px, py, pz, start, count, per_point):
         """Nearest candidate of each point (-1 where none is provably nearest overall)."""
-        result = np.full(len(points), -1, dtype=np.int64)
-        per_point = count.sum(axis=1)
+        result = np.full(len(px), -1, dtype=np.int64)
         hit = per_point > 0
         if not hit.any():
             return result
         count = count.ravel()
-        first = np.cumsum(count) - count
-        vertex = self.order[np.repeat(start.ravel() - first, count) + np.arange(int(count.sum()))]
-        diff = self.vertices[vertex]
-        diff -= points[np.repeat(np.arange(len(points)), per_point)]
-        d2 = _squared_norms(diff)
+        pos = np.repeat(start.ravel() - (np.cumsum(count) - count), count)
+        pos += np.arange(len(pos))
+        d2 = _squared_norms(self.x[pos] - np.repeat(px, per_point),
+                            self.y[pos] - np.repeat(py, per_point),
+                            self.z[pos] - np.repeat(pz, per_point))
         seg = (np.cumsum(per_point) - per_point)[hit]
         best = np.minimum.reduceat(d2, seg)
-        rank = np.repeat(np.arange(len(seg)), per_point[hit])
         # Smallest vertex index among the candidates at the best distance.
-        win = np.minimum.reduceat(np.where(d2 == best[rank], vertex, len(self.vertices)), seg)
+        tied = d2 == np.repeat(best, per_point[hit])
+        win = np.minimum.reduceat(np.where(tied, self.order[pos], len(self.order)), seg)
         exact = best <= self.h * self.h * (1 - _EXACT_MARGIN)
         result[np.flatnonzero(hit)[exact]] = win[exact]
         return result
 
-    def snap(self, points: np.ndarray, limit: int) -> np.ndarray:
-        """`nearest` over all points, in blocks of endpoints and of distances;
-        _BRUTE_FORCE for a point whose 27 cells hold `limit` vertices or more."""
-        out = np.empty(len(points), dtype=np.int64)
-        for s in range(0, len(points), _ENDPOINT_BLOCK):
-            block = points[s:s + _ENDPOINT_BLOCK]
-            start, count = self.ranges(block)
-            heavy = count.sum(axis=1) >= limit
-            count[heavy] = 0
+    def snap(self, points: np.ndarray, pending: np.ndarray, limit: int, out: np.ndarray) -> None:
+        """Set out[pending] to `nearest` of each point, or to _BRUTE_FORCE for a
+        point whose 27 cells hold `limit` vertices or more.
+
+        The points are taken in the order of their own cell's key, in blocks
+        of endpoints and of distances, so that neighbouring points look up
+        neighbouring keys and gather neighbouring vertices.
+        """
+        key = np.zeros(len(pending), dtype=np.int64)
+        for axis in range(3):  # one column at a time keeps the temporaries at O(len(pending))
+            key *= self.dims[axis]
+            key += self._cell(points[pending, axis], axis)
+        pending = pending[np.argsort(key)]
+        del key
+        for s in range(0, len(pending), _ENDPOINT_BLOCK):
+            ids = pending[s:s + _ENDPOINT_BLOCK]
+            bx, by, bz = points[ids, 0], points[ids, 1], points[ids, 2]
+            start, count = self.ranges(bx, by, bz)
             per_point = count.sum(axis=1)
+            heavy = per_point >= limit
+            count[heavy] = 0
+            per_point[heavy] = 0
             piece = (np.cumsum(per_point) - per_point) // _DISTANCE_BLOCK
-            cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1), len(block)]
+            cuts = [0, *(np.flatnonzero(np.diff(piece)) + 1), len(ids)]
             for a, b in zip(cuts, cuts[1:]):
-                out[s + a:s + b] = self.nearest(block[a:b], start[a:b], count[a:b])
-            out[s:s + len(block)][heavy] = _BRUTE_FORCE
-        return out
+                out[ids[a:b]] = self.nearest(bx[a:b], by[a:b], bz[a:b], start[a:b],
+                                             count[a:b], per_point[a:b])
+            out[ids[heavy]] = _BRUTE_FORCE
 
 
 def map_endpoint_to_vertex(point, mesh: TriangleMesh):
     """Nearest mesh vertex by Euclidean distance; ties go to the smallest index.
 
     `point` is one 3D point (returns an int) or an (M, 3) array of points
-    (returns an (M,) int64 array). Points are bucketed into a uniform grid over
-    the vertices whose cell is the mean triangle edge length, and each point
-    looks at the 27 cells around its own. That answer is exact when its
+    (returns an (M,) int64 array). The vertices are bucketed into a uniform
+    grid whose cell is the mean triangle edge length, and the grid keeps the
+    vertex coordinates as three contiguous columns in cell-key order. Each
+    point looks at the 27 cells around its own: 9 (x, y) columns of 3 cells,
+    each one contiguous range of positions, found with one `searchsorted`
+    over the distinct cell keys. The points are taken in the order of their
+    own cell's key, _ENDPOINT_BLOCK at a time as three gathered columns, so
+    lookups and candidate gathers walk memory nearly in order; results are
+    scattered back to the input order. A grid answer is exact when its
     squared distance is below cell² (less a rounding margin): every vertex
-    outside those cells is at least one cell away. Points that fail the check
-    are searched again on a grid with twice the cell, and so on until the grid
-    spans at most 3 cells per axis; what is left (points farther from the mesh
-    than about a third of its extent) gets a brute-force `argmin` over all
-    vertices, in blocks. A point whose 27 cells hold a quarter of the vertices
-    or more goes to that scan at once. All paths compute squared distances
-    with the same expression and resolve ties to the smallest index, so the
-    result is the full scan's, bit for bit. Cost: O(N log N) per grid level
-    built, then about the vertices of 27 cells per point; a point at
-    distance d from the mesh needs about log2(d / cell) levels, and one that
-    falls through costs O(N).
+    outside those cells is at least one cell away. Points that fail the
+    check are searched again on a grid with twice the cell, and so on until
+    the grid spans at most 3 cells per axis; what is left (points farther
+    from the mesh than about a third of its extent) gets a brute-force
+    `argmin` over all vertices, in blocks. A point whose 27 cells hold a
+    quarter of the vertices or more goes to that scan at once. Every path
+    computes the squared distance as (dx² + dz²) + dy² (`_squared_norms`)
+    and resolves ties to the smallest index, so the result is the full
+    scan's, bit for bit, in any order of the points.
+
+    Cost: per grid level, O(N log N) to build the grid and O(M log M) to
+    sort the pending points, then per point 9 lookups and about the
+    vertices of 27 cells; a point at distance d from the mesh needs about
+    log2(d / cell) levels, and one that falls through costs O(N). Besides
+    the (M,) result, the temporaries are a few int64 arrays of M and
+    O(N + _ENDPOINT_BLOCK + _DISTANCE_BLOCK).
     """
     points = np.asarray(point, dtype=np.float64)
     single = points.ndim != 2
@@ -165,19 +219,20 @@ def map_endpoint_to_vertex(point, mesh: TriangleMesh):
         points = points.reshape(1, 3)
     if points.shape[1] != 3:
         raise ValueError(f"fiber endpoints must be 3D points, got shape {points.shape}")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"fiber endpoint {points[np.argmin(finite)].tolist()} is not a finite point")
+    if not np.isfinite(points).all():
+        bad = np.argmin(np.isfinite(points).all(axis=1))
+        raise ValueError(f"fiber endpoint {points[bad].tolist()} is not a finite point")
 
+    vertices = np.ascontiguousarray(mesh.vertices.T)
     nearest = np.full(len(points), -1, dtype=np.int64)
     pending = np.arange(len(points))
     limit = max(1, mesh.vertex_count // _BRUTE_FORCE_SHARE)
-    h = _cell_size(mesh)
+    h = _cell_size(*vertices, mesh.triangles)
     while len(pending):
-        grid = _VertexGrid(mesh.vertices, h)
-        nearest[pending] = grid.snap(points[pending], limit)
+        grid = _VertexGrid(*vertices, h)
+        grid.snap(points, pending, limit, nearest)
         pending = pending[nearest[pending] == -1]
-        if grid.dims.max() <= 3:  # 27 cells hold every vertex: a coarser grid finds no more
+        if max(grid.dims) <= 3:  # 27 cells hold every vertex: a coarser grid finds no more
             break
         h *= 2
     pending = np.flatnonzero(nearest < 0)
@@ -185,8 +240,9 @@ def map_endpoint_to_vertex(point, mesh: TriangleMesh):
     rows = max(1, _DISTANCE_BLOCK // mesh.vertex_count)
     for s in range(0, len(pending), rows):
         idx = pending[s:s + rows]
-        d2 = _squared_norms((mesh.vertices - points[idx, None]).reshape(-1, 3))
-        nearest[idx] = np.argmin(d2.reshape(len(idx), -1), axis=1)
+        p = points[idx, :, None]
+        d2 = _squared_norms(vertices[0] - p[:, 0], vertices[1] - p[:, 1], vertices[2] - p[:, 2])
+        nearest[idx] = np.argmin(d2, axis=1)
     return int(nearest[0]) if single else nearest
 
 

@@ -57,7 +57,7 @@ class KmeansConfig:
 class KmeansResult:
     """Final grouping plus run diagnostics."""
 
-    groups: list[np.ndarray]           # per-cluster sorted vertex index arrays
+    ids: np.ndarray                    # the block's sorted vertex ids
     assignment: np.ndarray             # per-vertex cluster id in [0, k), in block vertex order
     centroids: list[int]               # centroids after the last update step
     iterations: int
@@ -66,6 +66,11 @@ class KmeansResult:
     euclidean_fallbacks: int           # vertices ever assigned by the Euclidean fallback
     energy_history: list[float] = field(default_factory=list)
     seconds: float = 0.0               # run start to this block's last iteration end
+
+    @property
+    def groups(self) -> list[np.ndarray]:
+        """Per-cluster sorted vertex index arrays, built from `assignment` when read."""
+        return [self.ids[self.assignment == j] for j in range(self.assignment.max() + 1)]
 
 
 @dataclass(frozen=True)
@@ -685,7 +690,7 @@ def parallel_kmeans(graph: SurfaceGraph, blocks: list[Block]) -> LockstepResult:
     results: list[KmeansResult | None] = [None] * len(blocks)
     for i, b in enumerate(blocks):
         if b.k == 1:
-            results[i] = KmeansResult(groups=[b.ids],
+            results[i] = KmeansResult(ids=b.ids,
                                       assignment=np.zeros(len(b.ids), dtype=np.int64),
                                       centroids=[], iterations=0, converged_by_tolerance=False,
                                       last_shift_mm=0.0, euclidean_fallbacks=0)
@@ -718,7 +723,7 @@ def parallel_kmeans(graph: SurfaceGraph, blocks: list[Block]) -> LockstepResult:
             if converged or iteration >= config.max_iterations:
                 local = assignment[ids] - start
                 results[i] = KmeansResult(
-                    groups=[ids[local == j] for j in range(k)], assignment=local,
+                    ids=ids, assignment=local,
                     centroids=new, iterations=iteration,
                     converged_by_tolerance=converged,
                     last_shift_mm=shift, euclidean_fallbacks=fallbacks_total[i],

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from geosp import (FormatError, TriangleMesh, atlas_mesh, binarize,
                    build_connectivity_matrix, dice_coefficient, grid_mesh, icosphere_mesh,
                    load_fibers, load_matrix, map_endpoint_to_vertex, pairwise_dice,
                    save_matrix, write_fibers)
+from geosp import connectivity
 from geosp.connectivity import format_dice_report
 
 from helpers import right_triangle_mesh
@@ -50,10 +52,13 @@ def test_endpoint_matches_linear_scan():
 
 
 def _scan(points, vertices):
-    """Per-point linear scan; the first vertex at the minimum squared distance wins."""
+    """Per-point linear scan of the squared distance (dx² + dz²) + dy², summed
+    in that order; the first vertex at the minimum wins."""
+    x, y, z = vertices[:, 0], vertices[:, 1], vertices[:, 2]
     out = []
     for p in points:
-        d2 = np.einsum("ij,ij->i", vertices - p, vertices - p)
+        dx, dy, dz = x - p[0], y - p[1], z - p[2]
+        d2 = (dx * dx + dz * dz) + dy * dy
         out.append(int(np.flatnonzero(d2 == d2.min())[0]))
     return np.array(out, dtype=np.int64)
 
@@ -91,11 +96,11 @@ def _property_points(mesh, rng):
     ])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["jittered rotated grid", "icosphere", "coincident vertices",
-                        "flat grid", "single vertex"]))
-def test_batched_snapping_matches_linear_scan(seed, kind):
+_MESH_KINDS = st.sampled_from(["jittered rotated grid", "icosphere", "coincident vertices",
+                               "flat grid", "single vertex"])
+
+
+def _check_snapping(seed, kind):
     rng = np.random.default_rng(seed)
     mesh = _property_mesh(kind, rng)
     points = _property_points(mesh, rng)
@@ -104,6 +109,61 @@ def test_batched_snapping_matches_linear_scan(seed, kind):
     np.testing.assert_array_equal(got, _scan(points, mesh.vertices))
     one = map_endpoint_to_vertex(points[7], mesh)
     assert type(one) is int and one == got[7]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), _MESH_KINDS)
+def test_batched_snapping_matches_linear_scan(seed, kind):
+    _check_snapping(seed, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), _MESH_KINDS)
+def test_snapping_in_small_blocks_matches_linear_scan(seed, kind):
+    # Blocks of 7 endpoints and of 64 distances: every example crosses both
+    # block boundaries, with points of one cell split between blocks.
+    with mock.patch.object(connectivity, "_ENDPOINT_BLOCK", 7), \
+            mock.patch.object(connectivity, "_DISTANCE_BLOCK", 64):
+        _check_snapping(seed, kind)
+
+
+def test_snapping_thousands_of_endpoints_matches_scan_in_any_order():
+    rng = np.random.default_rng(19)
+    mesh = grid_mesh(30, 34)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    v = (mesh.vertices + rng.normal(scale=0.1, size=mesh.vertices.shape)) @ q.T + 40.0
+    mesh = TriangleMesh(v, mesh.triangles)
+    a, b = rng.integers(0, len(v), size=(2, 400))
+    points = np.concatenate([
+        v[rng.integers(0, len(v), size=1500)] + rng.normal(scale=1e-3, size=(1500, 3)),
+        v[rng.integers(0, len(v), size=1200)] + rng.normal(scale=2.0, size=(1200, 3)),
+        (v[a] + v[b]) / 2,                                                 # midpoint ties
+        rng.uniform(v.min(0) - 20, v.max(0) + 20, size=(300, 3)),
+        v[rng.integers(0, len(v), size=30)] + rng.normal(scale=1e4, size=(30, 3)),
+    ])
+    assert len(points) > 3 * connectivity._ENDPOINT_BLOCK
+    got = map_endpoint_to_vertex(points, mesh)
+    np.testing.assert_array_equal(got, _scan(points, v))
+    perm = rng.permutation(len(points))
+    np.testing.assert_array_equal(map_endpoint_to_vertex(points[perm], mesh), got[perm])
+
+
+@pytest.mark.parametrize("far_grid", [False, True])
+def test_snapping_sums_the_squares_in_the_documented_order(far_grid):
+    # From the origin, a = (x, y, z) and b = (x, z, y) are at (x² + z²) + y²
+    # and (x² + y²) + z², which round apart: a is nearer by the documented
+    # order, b by (x² + y²) + z², and the two tie by x² + (y² + z²). b comes
+    # first, so any other order of the sum picks it. With a and b alone the
+    # brute-force scan decides; with a far grid of 16 vertices a grid does.
+    x, y, z = 0.1, 0.2, 2.9
+    assert (x * x + z * z) + y * y < (x * x + y * y) + z * z
+    vertices, triangles = np.array([(x, z, y), (x, y, z)]), np.zeros((0, 3), dtype=np.int64)
+    if far_grid:
+        far = grid_mesh(4, 4)
+        vertices = np.concatenate([vertices, far.vertices + 20.0])
+        triangles = far.triangles + 2
+    mesh = TriangleMesh(vertices, triangles)
+    assert map_endpoint_to_vertex(np.zeros(3), mesh) == 1
 
 
 def test_snapping_ties_on_coincident_vertices_go_to_smallest_index():

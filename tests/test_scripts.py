@@ -53,10 +53,10 @@ def test_paper_scale_prints_time_memory_and_digest_per_configuration():
 def test_fiber_scale_prints_times_memory_and_digest():
     lines = _run("fiber_scale.py", "--nx", "20", "--ny", "21", "--fibers", "500")
     assert lines[0] == "mesh: 840 vertices, 70 regions; 500 point fibres"
-    assert lines[1].split() == ["write", "[s]", "load", "[s]", "snap+count", "[s]", "peak", "RSS",
-                                "[MB]", "counts", "sha256"]
-    write, load, count, peak, digest = lines[2].split()
-    assert min(float(write), float(load), float(count)) >= 0 and float(peak) > 0
+    assert lines[1].split() == ["write", "[s]", "load", "[s]", "snap+count", "[s]", "snap", "CPU",
+                                "[s]", "peak", "RSS", "[MB]", "counts", "sha256"]
+    write, load, count, snap, peak, digest = lines[2].split()
+    assert min(float(write), float(load), float(count), float(snap)) >= 0 and float(peak) > 0
     assert len(digest) == 64 and len(lines) == 3
     again = _run("fiber_scale.py", "--nx", "20", "--ny", "21", "--fibers", "500")
     assert again[2].split()[-1] == digest  # the same fibres and counts on every run
