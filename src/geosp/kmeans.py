@@ -380,6 +380,16 @@ class _FlatMedoidSearch:
     both. Every candidate left stale then has a true bound above m, so the
     next row is the one a refresh of every candidate would choose. Each step
     is one _padded_bounds call over every cluster that still refreshes.
+
+    The ranking is kept from round to round: the candidates stay in
+    (cluster, stale bound) order, so the ones a step refreshes are the next
+    slice of each cluster's run and its next stale bound is the entry after
+    it. Only the refreshed candidates move; one stable sort on the complex
+    key cluster + i * bound, compared exactly as the pair (real part first),
+    puts them back among the sorted stale ones, which it finds as runs. The
+    stopping rule needs that order exact; the order of equal bounds does not
+    matter, except that a cluster's row is the smallest position among its
+    smallest fresh bounds, which prune settles apart.
     """
 
     def __init__(self, keys, ids, sizes, rows, candidates, lower, best_sum, best, pad):
@@ -393,8 +403,9 @@ class _FlatMedoidSearch:
         for s, row in enumerate(rows):
             self.rows[s, :-1], self.rows[s, -1] = row, 0
         self.evaluated = len(rows)
-        self.candidates, self.lower = candidates, lower  # ascending flat positions, last bounds
-        self.cluster = np.searchsorted(self.starts, candidates, side="right") - 1
+        # flat positions, their clusters and last bounds, in the kept order
+        cluster = np.searchsorted(self.starts, candidates, side="right") - 1
+        self.candidates, self.cluster, self.lower = _ranked(candidates, cluster, lower)
         self.best_sum, self.best, self.pad = best_sum, best, pad  # per cluster; a position in it
         self.live = np.arange(len(keys))  # the open clusters
         self.columns = None  # flat positions of their members; None: every member
@@ -405,44 +416,35 @@ class _FlatMedoidSearch:
         open cluster's next row (self.at, an index into self.candidates per
         open cluster); False once no cluster is open."""
         n = len(self.keys)
-        keep = self.lower <= (self.best_sum + self.pad)[self.cluster]
+        keep = (self.lower <= (self.best_sum + self.pad)[self.cluster]).nonzero()[0]
         candidates, lower, cluster = self.candidates[keep], self.lower[keep], self.cluster[keep]
         count = np.bincount(cluster, minlength=n)
-        # Rank of each candidate in its cluster by stale bound. A cluster
-        # with at most _FIRST_REFRESH candidates refreshes them all at once,
-        # so only the others are sorted; the order of equal bounds does not
-        # change the row chosen.
-        rank = np.arange(len(cluster)) - (np.cumsum(count) - count)[cluster]
-        many = np.flatnonzero(count[cluster] > _FIRST_REFRESH)
-        if len(many):
-            by_bound = np.empty(len(many), dtype=np.int64)
-            by_bound[np.argsort(lower[many])] = np.arange(len(many))
-            rank[many[np.argsort(cluster[many] * len(many) + by_bound)]] = rank[many]
+        first = count.cumsum() - count  # where each cluster's run starts
         smallest = np.full(n, np.inf)
-        pick = np.flatnonzero(rank < _FIRST_REFRESH)
-        picks = np.minimum(count, _FIRST_REFRESH)
-        done, step = 0, _FIRST_REFRESH
-        while len(pick):
-            lower[pick] = self._refresh(candidates[pick], rank[pick] - done, picks)
-            np.minimum.at(smallest, cluster[pick], lower[pick])
+        going, done, step = count > 0, 0, _FIRST_REFRESH
+        while going.any():
+            slots, bounds = self._refresh(candidates, first + done,
+                                          np.minimum(count - done, step) * going)
+            lower[slots] = bounds
+            np.minimum.at(smallest, cluster[slots], bounds)
             done, step = done + step, 2 * step
-            following = np.flatnonzero(rank == done)  # each cluster's next stale bound
-            going = np.zeros(n, dtype=bool)
-            going[cluster[following]] = lower[following] <= (smallest + self.pad)[cluster[following]]
-            if going.any():
-                pick = np.flatnonzero((rank >= done) & (rank < done + step) & going[cluster])
-                picks = np.minimum(count - done, step) * going
-            else:
-                pick = pick[:0]
+            # Each cluster's next stale bound is the one after those refreshed.
+            following = lower.take(first + done, mode="clip")
+            going &= (count > done) & (following <= smallest + self.pad)
         # A stale bound left exceeds m, so each open cluster's row is its
-        # first refreshed candidate with the bound m.
+        # refreshed candidate with the bound m, the first in position if
+        # several have it.
         open_ = smallest <= self.best_sum + self.pad
         live = np.flatnonzero(open_)
         if len(live) < len(self.live):
-            keep = open_[cluster]
+            keep = open_[cluster].nonzero()[0]
             candidates, lower, cluster = candidates[keep], lower[keep], cluster[keep]
-        hits = np.flatnonzero(lower == smallest[cluster])
-        self.at = hits[np.searchsorted(hits, np.searchsorted(cluster, live))]
+        candidates, cluster, lower = _ranked(candidates, cluster, lower)
+        hits = np.flatnonzero(lower == smallest[cluster])  # one per open cluster, or ties
+        if len(hits) > len(live):
+            hits = hits[np.argsort(candidates[hits])]  # positions ascend cluster by cluster
+            hits = hits[np.searchsorted(cluster[hits], live)]
+        self.at = hits
         self.candidates, self.lower, self.cluster = candidates, lower, cluster
         if not len(live):
             return False
@@ -453,18 +455,19 @@ class _FlatMedoidSearch:
                 self._resize(len(self.rows))
         return True
 
-    def _refresh(self, candidates, slot, picks) -> np.ndarray:
-        """Fresh bounds of `candidates`, the picks[i] of cluster i in this
-        step in cluster order, each the slot-th of its cluster, from one
+    def _refresh(self, candidates, at, picks):
+        """(slots, bounds): fresh bounds of the candidates in the picks[i]
+        slots of cluster i from at[i] on, cluster after cluster, from one
         _padded_bounds call."""
-        clusters = np.flatnonzero(picks)
+        clusters = picks.nonzero()[0]
         picks = picks[clusters]
-        line = np.repeat(np.arange(len(clusters)), picks)
-        columns = np.full((len(clusters), picks.max()), -1)  # the zero column
-        columns[line, slot] = candidates
+        col = np.arange(picks.max())
+        real = col < picks[:, None]
+        slots = at[clusters, None] + col
+        columns = np.where(real, candidates.take(slots, mode="clip"), -1)  # -1: the zero column
         bounds = _padded_bounds(self.rows[:self.evaluated], self.starts[clusters],
                                 self.sizes[clusters], columns, picks)
-        return bounds[line, slot]
+        return slots[real], bounds[real]
 
     def _resize(self, capacity: int):
         """Drop the clusters that are done from the layout, and their
@@ -514,7 +517,8 @@ class _FlatMedoidSearch:
         p = self.candidates[self.at] - self.starts[live]
         best_sum, best = self.best_sum[live], self.best[live]
         better = (total < best_sum) | ((total == best_sum) & (p < best))
-        self.best_sum[live[better]], self.best[live[better]] = total[better], p[better]
+        self.best_sum[live] = np.where(better, total, best_sum)
+        self.best[live] = np.where(better, p, best)
         if self.evaluated == len(self.rows):
             self._resize(2 * len(self.rows))
         self.rows[self.evaluated, slice(-1) if self.columns is None else self.columns] = row
@@ -527,6 +531,18 @@ class _FlatMedoidSearch:
         """(keys, medoid vertex ids) of every cluster, once none is open."""
         done = [*self.done, (self.keys, self.ids[self.starts + self.best])]
         return np.concatenate([k for k, _ in done]), np.concatenate([m for _, m in done])
+
+
+def _ranked(candidates: np.ndarray, cluster: np.ndarray, lower: np.ndarray):
+    """(candidates, cluster, lower) in (cluster, lower) order, equal pairs in
+    the order given. The key cluster + i * lower is built from its parts (a
+    product with i would turn an infinite bound into NaN), and numpy orders
+    complex numbers by real part, then imaginary part, exactly; the stable
+    sort finds the runs that are already in order and merges the rest."""
+    key = np.empty(len(lower), dtype=complex)
+    key.real, key.imag = cluster, lower
+    order = key.argsort(kind="stable")
+    return candidates[order], cluster[order], lower[order]
 
 
 def _first_rows(within: SurfaceGraph, keys: np.ndarray, ids: np.ndarray, sizes: np.ndarray,

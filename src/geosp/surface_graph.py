@@ -5,7 +5,19 @@ relaxation in numpy rounds over the graph's CSR arrays, each round relaxing
 only the out-edges of the vertices that changed in the round before. Its
 fixpoint is the heap Dijkstra's result bit for bit (oracles.oracle_dijkstra
 is that reference). Nearest sources come after the distances, from one pass
-of the same rounds over the tight edges (`_nearest`). One sweep from many
+of the same rounds over the tight edges (`_nearest`).
+
+A round is a fixed number of numpy calls whatever the frontier's size, and
+in a sweep of a few hundred vertices per round that fixed cost, not the
+work, sets the time; so the step that both loops share keeps the calls few.
+`_out_edges` gathers the frontier's CSR slots from one cumulative sum of its
+degrees and a ramp (an arange kept with the graph, `_arange`), and
+`_distinct` keeps one copy of each changed vertex by stamping positions into
+a per-call array instead of sorting. The frontier is then in no particular
+order, which changes nothing: a round's changes are an elementwise minimum,
+so its result is the same set of vertices and values in any order.
+
+One sweep from many
 sources costs about as much as one from a single source, so callers batch:
 `cut_graph` removes the edges between labels, after which one sweep with one
 source per label gives every label its own distances (kmeans runs every
@@ -34,6 +46,7 @@ class SurfaceGraph:
 
     Holds the vertex positions (mm) and, as its only edge storage, a
     symmetric CSR adjacency (indptr, neighbor_indices, neighbor_weights).
+    Besides, it keeps the ramp of the shortest-path rounds (`_arange`).
     """
 
     def __init__(self, positions, edge_u, edge_v, edge_weights):
@@ -59,18 +72,33 @@ class SurfaceGraph:
         if np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
         self.positions, self.vertex_count = positions, n
-        self.indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).cumsum(out=self.indptr[1:])
         self.neighbor_indices = key % n
         self.neighbor_weights = np.concatenate([w, w])[order]
+        self._ramp = np.arange(0)
 
     @classmethod
-    def _from_csr(cls, positions, indptr, neighbor_indices, neighbor_weights) -> SurfaceGraph:
-        """The graph of symmetric CSR arrays as given, unchecked."""
+    def _from_csr(cls, positions, indptr, neighbor_indices, neighbor_weights,
+                  ramp) -> SurfaceGraph:
+        """The graph of symmetric CSR arrays as given, unchecked, sharing
+        another graph's `ramp` (its `_ramp`)."""
         graph = cls.__new__(cls)
         graph.positions, graph.vertex_count = positions, len(positions)
         graph.indptr = indptr
         graph.neighbor_indices, graph.neighbor_weights = neighbor_indices, neighbor_weights
+        graph._ramp = ramp
         return graph
+
+    def _arange(self, size: int) -> np.ndarray:
+        """np.arange(size), as a view of an arange kept with the graph (the
+        ramp). When that is too short it is replaced by one twice the size
+        asked for, so it grows to twice the largest round's slot count, 16
+        bytes per slot, and never holds the graph's whole slot count.
+        cut_graph results share it."""
+        if size > len(self._ramp):
+            self._ramp = np.arange(2 * size)
+        return self._ramp[:size]
 
     @property
     def edge_count(self) -> int:
@@ -106,14 +134,21 @@ def build_graph(mesh: TriangleMesh) -> SurfaceGraph:
     """
     t = mesh.triangles
     if len(t):
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e.sort(axis=1)
-        # One int64 key per edge sorts like its (lo, hi) row.
+        a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+        b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+        # One int64 key per edge sorts like its (lo, hi) row; each once, ascending.
         n = mesh.vertex_count
-        key = _distinct(e[:, 0] * n + e[:, 1])
-        del e  # before SurfaceGraph builds its sort arrays
+        key = np.minimum(a, b) * n + np.maximum(a, b)
+        del a, b  # before SurfaceGraph builds its sort arrays
+        key.sort()
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
         lo, hi = key // n, key % n
-        w = np.linalg.norm(mesh.vertices[lo] - mesh.vertices[hi], axis=1)
+        # Summed in the order of np.linalg.norm(..., axis=1), with its bits,
+        # one column at a time.
+        x, y, z = (mesh.vertices[lo, i] - mesh.vertices[hi, i] for i in range(3))
+        w = np.sqrt((x * x + y * y) + z * z)
         w = np.maximum(w, MIN_EDGE_WEIGHT_MM)
     else:
         lo = hi = np.empty(0, dtype=np.int64)
@@ -155,10 +190,11 @@ def cut_graph(graph: SurfaceGraph, labels) -> SurfaceGraph:
     labels = np.asarray(labels)
     if len(labels) != graph.vertex_count:
         raise ValueError(f"{len(labels)} labels for {graph.vertex_count} vertices")
-    same = np.repeat(labels, np.diff(graph.indptr)) == labels[graph.neighbor_indices]
-    kept_before = np.concatenate([[0], np.cumsum(same)])
+    same = labels.repeat(np.diff(graph.indptr)) == labels[graph.neighbor_indices]
+    kept_before = np.concatenate([[0], same.cumsum()])
     return SurfaceGraph._from_csr(graph.positions, kept_before[graph.indptr],
-                                  graph.neighbor_indices[same], graph.neighbor_weights[same])
+                                  graph.neighbor_indices[same], graph.neighbor_weights[same],
+                                  graph._ramp)
 
 
 def _check_sources(graph: SurfaceGraph, sources) -> np.ndarray:
@@ -166,6 +202,14 @@ def _check_sources(graph: SurfaceGraph, sources) -> np.ndarray:
     n = graph.vertex_count
     if not len(given):
         raise ValueError("source list is empty")
+    # A bool is no vertex index: True would run from vertex 1, and a mask
+    # would list 1s and 0s as vertices.
+    if given.dtype.kind == "b":
+        raise ValueError(f"source vertex {given[0]} is a bool, not a vertex index")
+    if isinstance(sources, (list, tuple)):  # bools among ints give an int dtype
+        for s in sources:
+            if isinstance(s, (bool, np.bool_)):
+                raise ValueError(f"source vertex {s} is a bool, not a vertex index")
     if given.dtype.kind == "f":  # a cast to int64 would truncate
         fraction = given[given != np.trunc(given)]  # NaN too
         if len(fraction):
@@ -181,20 +225,27 @@ def _check_sources(graph: SurfaceGraph, sources) -> np.ndarray:
 
 def _out_edges(graph: SurfaceGraph, frontier: np.ndarray):
     """(counts, v, w) for the out-edges u -> v of the vertices in `frontier`:
-    counts[i] edges of frontier[i], in frontier order."""
-    starts = graph.indptr[frontier]
-    counts = graph.indptr[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    counts[i] edges of frontier[i], in frontier order. The step of every
+    relaxation round: frontier vertex i owns the slots starts[i] + j, j <
+    counts[i], which are the ramp's entries from ends[i] - counts[i] on
+    shifted by stops[i] - ends[i] (ends the cumulative counts)."""
+    starts, stops = graph.indptr[frontier], graph.indptr[1:][frontier]
+    counts = stops - starts
+    ends = counts.cumsum()
+    slots = (stops - ends).repeat(counts)
+    slots += graph._arange(len(slots))
     return counts, graph.neighbor_indices[slots], graph.neighbor_weights[slots]
 
 
-def _distinct(v: np.ndarray) -> np.ndarray:
-    """The values of `v` once each, ascending; sorts v in place."""
-    v.sort()
-    first = np.ones(len(v), dtype=bool)
-    np.not_equal(v[1:], v[:-1], out=first[1:])
-    return v[first]
+def _distinct(graph: SurfaceGraph, v: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """The values of `v` (vertices of `graph`) once each, in the order of
+    the occurrences kept. Each position i of v is stamped into stamp[v[i]]
+    (stamp: an integer array of one entry per vertex, whose other entries
+    are never read); one write per vertex survives, and the positions that
+    read back their own number are the ones kept."""
+    first = graph._arange(len(v))
+    stamp[v] = first
+    return v.compress(stamp[v] == first)
 
 
 def _sweep(graph: SurfaceGraph, sources: np.ndarray, bound=None) -> np.ndarray:
@@ -210,6 +261,13 @@ def _sweep(graph: SurfaceGraph, sources: np.ndarray, bound=None) -> np.ndarray:
     fixpoint is unique: it is what a heap Dijkstra returns, bit for bit.
     Sources are not checked here.
 
+    A round gathers the frontier's edges (_out_edges), lowers dist[v] to
+    fl(dist[u] + w) where that is smaller (np.minimum.at, so repeats of v
+    take their smallest) and makes the vertices it lowered, once each
+    (_distinct), the next frontier. Neither step depends on the order of
+    the frontier, so every round, and the round count, are those of a
+    frontier kept sorted.
+
     `bound`, per-vertex distances, starts dist there instead of at
     UNREACHABLE: the result is np.minimum(bound, field) whenever bound[v] <=
     bound[u] + w on every edge, and only vertices that drop below their
@@ -218,14 +276,16 @@ def _sweep(graph: SurfaceGraph, sources: np.ndarray, bound=None) -> np.ndarray:
     dist = (np.full(graph.vertex_count, UNREACHABLE) if bound is None
             else np.array(bound, dtype=np.float64))
     dist[sources] = 0.0
+    stamp = np.empty(graph.vertex_count, dtype=np.intp)
     frontier = sources
     while len(frontier):
         counts, v, w = _out_edges(graph, frontier)
-        nd = np.repeat(dist[frontier], counts) + w
-        better = nd < dist[v]
+        nd = dist[frontier].repeat(counts)
+        nd += w
+        better = (nd < dist[v]).nonzero()[0]  # cheaper than two boolean masks
         v = v[better]
         np.minimum.at(dist, v, nd[better])
-        frontier = _distinct(v)
+        frontier = _distinct(graph, v, stamp)
     return dist
 
 
@@ -239,18 +299,23 @@ def _nearest(graph: SurfaceGraph, sources: np.ndarray, dist: np.ndarray) -> np.n
     they form a DAG and this minimum, propagated from the sources in rounds
     like _sweep's, has one fixpoint. Positions must follow the final
     distances: a vertex can tie through an edge at one distance and keep a
-    smaller position than its predecessor's once that distance drops.
+    smaller position than its predecessor's once that distance drops. The
+    rounds take the step of _sweep, with its freedom of order: a round
+    lowers pos[v] to the smallest position offered, in any order.
     """
     pos = np.where(np.isfinite(dist), np.iinfo(np.int64).max, -1)
     pos[sources] = np.arange(len(sources))
+    stamp = np.empty(graph.vertex_count, dtype=np.intp)
     frontier = sources
     while len(frontier):
         counts, v, w = _out_edges(graph, frontier)
-        p = np.repeat(pos[frontier], counts)
-        better = (np.repeat(dist[frontier], counts) + w == dist[v]) & (p < pos[v])
+        nd = dist[frontier].repeat(counts)
+        nd += w
+        p = pos[frontier].repeat(counts)
+        better = ((nd == dist[v]) & (p < pos[v])).nonzero()[0]
         v = v[better]
         np.minimum.at(pos, v, p[better])
-        frontier = _distinct(v)
+        frontier = _distinct(graph, v, stamp)
     return pos
 
 

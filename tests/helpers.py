@@ -59,18 +59,37 @@ def brute_force_triangle_edges(mesh: TriangleMesh) -> dict:
 
 
 MESH_KINDS = ["jittered grid", "unjittered grid", "icosphere", "wave sheet",
-              "two components", "isolated vertices"]
+              "two components", "isolated vertices", "random-diagonal grid"]
+
+
+def random_diagonal_grid(nx: int, ny: int, rng: np.random.Generator) -> TriangleMesh:
+    """A flat nx x ny grid whose quads each take a random diagonal, with the
+    vertices moved by up to 0.4 spacings in x and y: vertex degrees vary
+    (2-8 at 60 x 60) and so do edge lengths (coefficient of variation about
+    0.3), so sweeps correct distances more often than on the regular kinds."""
+    xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
+    vertices = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(nx * ny)])
+    vertices[:, :2] += rng.uniform(-0.4, 0.4, size=(nx * ny, 2))
+    a = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
+    b, c, d = a + 1, a + nx + 1, a + nx  # the quad a b c d, counterclockwise
+    flip = (rng.random(len(a)) < 0.5)[:, None]  # diagonal b-d instead of a-c
+    first = np.where(flip, np.column_stack([a, b, d]), np.column_stack([a, b, c]))
+    second = np.where(flip, np.column_stack([b, c, d]), np.column_stack([a, c, d]))
+    return TriangleMesh(vertices, np.vstack([first, second]))
 
 
 def irregular_mesh(kind: str, rng: np.random.Generator) -> TriangleMesh:
     """One random mesh of a MESH_KINDS kind.
 
     "two components" is two jittered grids side by side; "isolated vertices"
-    is a jittered grid plus a few vertices on no triangle.
+    is a jittered grid plus a few vertices on no triangle; "random-diagonal
+    grid" is random_diagonal_grid.
     """
     nx, ny = (int(x) for x in rng.integers(3, 12, size=2))
     if kind == "unjittered grid":
         return grid_mesh(nx, ny)
+    if kind == "random-diagonal grid":
+        return random_diagonal_grid(nx, ny, rng)
     if kind == "icosphere":
         return icosphere_mesh(int(rng.integers(0, 3)), radius=float(rng.uniform(1, 20)))
     if kind == "wave sheet":

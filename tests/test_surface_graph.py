@@ -403,6 +403,18 @@ def test_sources_must_be_whole_numbers():
         sssp(g, np.inf)
 
 
+def test_sources_must_not_be_bools():
+    g = build_graph(grid_mesh(4, 4))
+    for call, sources, shown in ((sssp, True, "True"), (sssp, np.False_, "False"),
+                                 (multi_source_sssp, np.array([True, False]), "True"),
+                                 (multi_source_sssp, [3, True], "True"),
+                                 (multi_source_sssp, (2, np.bool_(False)), "False")):
+        with pytest.raises(ValueError, match=f"source vertex {shown} is a bool"):
+            call(g, sources)
+    with pytest.raises(ValueError, match="is a bool"):
+        sssp(g, [True], bound=np.zeros(16))
+
+
 def test_integer_sources_of_any_kind_are_accepted():
     g = build_graph(grid_mesh(4, 4))
     expected = multi_source_sssp(g, [0, 5])
