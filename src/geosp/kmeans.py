@@ -20,9 +20,9 @@ first three rows of every cluster are handled in one batched pass: with the
 clusters laid out side by side, the one- and two-row bounds of every member
 have closed forms, sum_j |a_j - a_x| from a row-wise sort and prefix sums,
 and sum_j max(|da|, |db|) = (sum_j |d(a+b)| + sum_j |d(a-b)|) / 2. After
-that one flat search goes on over float32 rows of every open cluster, still
-side by side: each round refreshes stale bounds best first, only as far as
-each cluster's choice of its next row needs, in a few padded calls for all
+that one flat search goes on over float32 rows of every cluster, still side
+by side: each round refreshes stale bounds best first, only as far as each
+open cluster's choice of its next row needs, in a few padded calls for all
 clusters at once.
 All tie-breaking is by smallest index (centroid list position for
 assignment, vertex index for medoids), which makes runs bit-reproducible.
@@ -33,6 +33,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import _set_madvise_hugepage
 
 from .surface_graph import SurfaceGraph, _sweep, cut_graph, multi_source_sssp, sssp
 
@@ -101,6 +106,28 @@ class LockstepResult:
         return sum(r.euclidean_fallbacks for r in self.blocks)
 
 
+def _check_blocks(graph: SurfaceGraph, blocks: list[Block]):
+    """Raise ValueError unless each block holds strictly increasing integer
+    vertex ids of the graph and 1 <= k <= its size, no two blocks share a
+    vertex and no edge joins a block vertex to a vertex outside its block."""
+    owner = np.full(graph.vertex_count, -1, dtype=np.int64)
+    for i, b in enumerate(blocks):
+        ids = np.asarray(b.ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu" or np.any(ids[1:] <= ids[:-1]):
+            raise ValueError(f"block {i}: ids must be a strictly increasing 1-D integer array")
+        if not 1 <= b.k <= len(ids):
+            raise ValueError(f"block {i}: k={b.k} must be in [1, {len(ids)}]")
+        if ids[0] < 0 or ids[-1] >= graph.vertex_count:
+            raise ValueError(f"block {i}: vertex ids must be in [0, {graph.vertex_count})")
+        if np.any(owner[ids] >= 0):
+            raise ValueError(f"block {i} shares vertices with block {int(owner[ids].max())}")
+        owner[ids] = i
+    tail = np.repeat(owner, np.diff(graph.indptr))
+    if np.any((tail >= 0) & (tail != owner[graph.neighbor_indices])):
+        raise ValueError("an edge leaves a block; cut the edges between blocks first "
+                         "(surface_graph.cut_graph)")
+
+
 def kmeanspp_init(graph: SurfaceGraph, blocks: list[Block]) -> list[list[int]]:
     """k-means++ seeding with geodesic D(x): first centroid uniform, then each
     new centroid drawn with probability proportional to D(x)^2, where D(x) is
@@ -116,9 +143,12 @@ def kmeanspp_init(graph: SurfaceGraph, blocks: list[Block]) -> list[list[int]]:
     its bound (sssp's `bound`), so it visits only the vertices it brings
     closer and returns exactly the minimum a full run would give.
     """
-    for b in blocks:
-        if b.k > len(b.ids):
-            raise ValueError(f"k={b.k} must be in [1, {len(b.ids)}]")
+    _check_blocks(graph, blocks)
+    return _seeds(graph, blocks)
+
+
+def _seeds(graph: SurfaceGraph, blocks: list[Block]) -> list[list[int]]:
+    """kmeanspp_init of blocks that _check_blocks has passed."""
     rngs = [np.random.default_rng(b.config.rng_seed) for b in blocks]
     centroids = [[int(b.ids[rng.integers(len(b.ids))])] for b, rng in zip(blocks, rngs)]
     nearest = sssp(graph, [c[0] for c in centroids]).dist
@@ -203,8 +233,7 @@ _FIRST_REFRESH = 16
 
 # Rows _FlatMedoidSearch makes room for at first, then twice as many each
 # time they run out (a paper-scale atlas or whole-mode search needs up to
-# about 25). Room no row was written to stays out of the resident set when
-# the buffer is large enough to be mapped apart, as it is at paper scale.
+# about 25); room no row is written to stays out of the resident set.
 _ROW_ROOM = 32
 
 
@@ -357,8 +386,8 @@ def _totals(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 class _FlatMedoidSearch:
-    """Pruned exact medoid search of every open cluster from its fourth row
-    on (_first_rows evaluates the first three), one lockstep round at a time.
+    """Pruned exact medoid search of every cluster from its fourth row on
+    (_first_rows evaluates the first three), one lockstep round at a time.
 
     The clusters lie side by side, largest first, in flat member arrays;
     the float32 rows hold one column per member. Per cluster, each row is
@@ -368,7 +397,8 @@ class _FlatMedoidSearch:
     totals come from the float64 rows (_totals). A candidate is pruned once
     its bound exceeds its cluster's best sum plus the pad; a cluster is
     done when none is left, and its medoid is the member with the best sum.
-    Once the clusters that are done hold half the columns, they are dropped.
+    A cluster that is done keeps its place, with no candidate, and the rows
+    taken after that leave its columns unwritten.
 
     Refresh is lazy and best-first. Each open candidate keeps the bound last
     computed for it (at first its pairwise two-row bound from _first_rows).
@@ -395,26 +425,21 @@ class _FlatMedoidSearch:
     def __init__(self, keys, ids, sizes, rows, candidates, lower, best_sum, best, pad):
         self.keys, self.ids = keys, ids  # per cluster, by size, largest first; per member
         self.sizes, self.starts = sizes, np.cumsum(sizes) - sizes
-        # float32 rows of every member, then room for more, in one buffer;
-        # the last column holds zeros that the padding of the bound blocks
-        # points at
-        self.buffer = np.empty(_ROW_ROOM * (len(ids) + 1), dtype=np.float32)
-        self.rows = self.buffer.reshape(_ROW_ROOM, -1)
+        # float32 rows of every member, then room for more; the last column
+        # holds zeros that the padding of the bound blocks points at
+        self.rows = _row_buffer(_ROW_ROOM, len(ids) + 1)
         for s, row in enumerate(rows):
-            self.rows[s, :-1], self.rows[s, -1] = row, 0
+            self.rows[s, :-1] = row
         self.evaluated = len(rows)
         # flat positions, their clusters and last bounds, in the kept order
         cluster = np.searchsorted(self.starts, candidates, side="right") - 1
         self.candidates, self.cluster, self.lower = _ranked(candidates, cluster, lower)
         self.best_sum, self.best, self.pad = best_sum, best, pad  # per cluster; a position in it
-        self.live = np.arange(len(keys))  # the open clusters
-        self.columns = None  # flat positions of their members; None: every member
-        self.done = []  # (keys, medoids) of the clusters dropped from the layout
 
     def prune(self) -> bool:
         """Keep the candidates whose bound could still win and choose each
         open cluster's next row (self.at, an index into self.candidates per
-        open cluster); False once no cluster is open."""
+        cluster in the mask self.open); False once no cluster is open."""
         n = len(self.keys)
         keep = (self.lower <= (self.best_sum + self.pad)[self.cluster]).nonzero()[0]
         candidates, lower, cluster = self.candidates[keep], self.lower[keep], self.cluster[keep]
@@ -434,26 +459,17 @@ class _FlatMedoidSearch:
         # A stale bound left exceeds m, so each open cluster's row is its
         # refreshed candidate with the bound m, the first in position if
         # several have it.
-        open_ = smallest <= self.best_sum + self.pad
+        self.open = open_ = smallest <= self.best_sum + self.pad
         live = np.flatnonzero(open_)
-        if len(live) < len(self.live):
-            keep = open_[cluster].nonzero()[0]
-            candidates, lower, cluster = candidates[keep], lower[keep], cluster[keep]
-        candidates, cluster, lower = _ranked(candidates, cluster, lower)
+        keep = open_[cluster].nonzero()[0]
+        candidates, cluster, lower = _ranked(candidates[keep], cluster[keep], lower[keep])
         hits = np.flatnonzero(lower == smallest[cluster])  # one per open cluster, or ties
         if len(hits) > len(live):
             hits = hits[np.argsort(candidates[hits])]  # positions ascend cluster by cluster
             hits = hits[np.searchsorted(cluster[hits], live)]
         self.at = hits
         self.candidates, self.lower, self.cluster = candidates, lower, cluster
-        if not len(live):
-            return False
-        if len(live) < len(self.live):
-            self.live = live
-            self.columns = np.flatnonzero(np.repeat(open_, self.sizes))
-            if 2 * len(self.columns) <= len(self.ids):
-                self._resize(len(self.rows))
-        return True
+        return len(live) > 0
 
     def _refresh(self, candidates, at, picks):
         """(slots, bounds): fresh bounds of the candidates in the picks[i]
@@ -469,39 +485,6 @@ class _FlatMedoidSearch:
                                 self.sizes[clusters], columns, picks)
         return slots[real], bounds[real]
 
-    def _resize(self, capacity: int):
-        """Drop the clusters that are done from the layout, and their
-        columns from the rows in place, then make room for at least
-        `capacity` rows, in a larger buffer only if this one cannot hold
-        them. Keeping one buffer matters: replacing it at each drop grew the
-        peak RSS at 304k vertices by 13 MB or more, as freed large blocks
-        raise the size from which the C allocator maps memory apart."""
-        if self.columns is not None:
-            live, starts = self.live, self.starts
-            done = np.ones(len(self.keys), dtype=bool)
-            done[live] = False
-            self.done.append((self.keys[done], self.ids[starts + self.best][done]))
-            kept = np.append(self.columns, len(self.ids))  # with the zero column
-            rows = self.buffer[:len(self.buffer) // len(kept) * len(kept)].reshape(-1, len(kept))
-            for s in range(self.evaluated):  # each row moves left of where it was
-                rows[s] = self.rows[s, kept]
-            self.rows = rows
-            self.ids = self.ids[self.columns]
-            self.keys, self.sizes, self.best_sum, self.best, self.pad = (
-                x[live] for x in (self.keys, self.sizes, self.best_sum, self.best, self.pad))
-            self.starts = np.cumsum(self.sizes) - self.sizes
-            renumber = np.cumsum(~done) - 1
-            self.candidates = (self.candidates - starts[self.cluster]
-                               + self.starts[renumber[self.cluster]])
-            self.cluster = renumber[self.cluster]
-            self.live = np.arange(len(self.keys))
-            self.columns = None
-        if capacity > len(self.rows):
-            self.buffer = np.empty(capacity * self.rows.shape[1], dtype=np.float32)
-            rows = self.buffer.reshape(capacity, -1)
-            rows[:self.evaluated] = self.rows[:self.evaluated]
-            self.rows = rows
-
     @property
     def sources(self) -> np.ndarray:
         """The vertex of each open cluster's next row, in layout order."""
@@ -511,26 +494,39 @@ class _FlatMedoidSearch:
         """Take each open cluster's next row from `field` (a sweep from
         self.sources over the graph with the edges between clusters cut) and
         prune; False once every medoid is known."""
-        live = self.live
-        row = field[self.ids if self.columns is None else self.ids[self.columns]]
-        total = _totals(row, self.sizes[live])
-        p = self.candidates[self.at] - self.starts[live]
-        best_sum, best = self.best_sum[live], self.best[live]
+        open_ = self.open
+        row = field[self.ids]
+        total = _totals(row, self.sizes)[open_]
+        p = self.candidates[self.at] - self.starts[open_]
+        best_sum, best = self.best_sum[open_], self.best[open_]
         better = (total < best_sum) | ((total == best_sum) & (p < best))
-        self.best_sum[live] = np.where(better, total, best_sum)
-        self.best[live] = np.where(better, p, best)
+        self.best_sum[open_] = np.where(better, total, best_sum)
+        self.best[open_] = np.where(better, p, best)
         if self.evaluated == len(self.rows):
-            self._resize(2 * len(self.rows))
-        self.rows[self.evaluated, slice(-1) if self.columns is None else self.columns] = row
-        self.rows[self.evaluated, -1] = 0
+            rows = _row_buffer(2 * len(self.rows), self.rows.shape[1])
+            rows[:self.evaluated] = self.rows
+            self.rows = rows
+        # No bound reads the columns of a cluster that is done; left
+        # unwritten, their pages stay out of the resident set.
+        np.copyto(self.rows[self.evaluated, :-1], row, where=np.repeat(open_, self.sizes))
         self.evaluated += 1
         self.lower[self.at] = np.inf  # no longer a candidate
         return self.prune()
 
-    def medoids(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, medoid vertex ids) of every cluster, once none is open."""
-        done = [*self.done, (self.keys, self.ids[self.starts + self.best])]
-        return np.concatenate([k for k, _ in done]), np.concatenate([m for _, m in done])
+    def medoids(self) -> np.ndarray:
+        """The medoid vertex id of every cluster, in layout order, once none is open."""
+        return self.ids[self.starts + self.best]
+
+
+def _row_buffer(count: int, width: int) -> np.ndarray:
+    """A (count, width) float32 array of zeros, resident only in the pages
+    written. numpy asks for 2 MB huge pages for arrays of 4 MB and more, and
+    then one written column makes 2 MB resident; this array goes without."""
+    hint = _set_madvise_hugepage(False)
+    try:
+        return np.zeros((count, width), dtype=np.float32)
+    finally:
+        _set_madvise_hugepage(hint)
 
 
 def _ranked(candidates: np.ndarray, cluster: np.ndarray, lower: np.ndarray):
@@ -546,29 +542,30 @@ def _ranked(candidates: np.ndarray, cluster: np.ndarray, lower: np.ndarray):
 
 
 def _first_rows(within: SurfaceGraph, keys: np.ndarray, ids: np.ndarray, sizes: np.ndarray,
-                row: np.ndarray, p: np.ndarray, medoids: np.ndarray) -> _FlatMedoidSearch | None:
+                row: np.ndarray, p: np.ndarray) -> _FlatMedoidSearch:
     """The first three rows of the medoid search of every cluster at once.
 
     Cluster keys[i] has sizes[i] members, side by side in `ids` (each
     cluster's ascending, sizes not increasing); `row` holds each one's first
     row, from its member at position p[i]. The second row is the member
     farthest from the first, the third the member farthest from both; each
-    is one sweep from every cluster still open. After each row the bounds
-    of every member come from row-wise sorts (_abs_sums): the one-row bound,
-    the two-row bound, then the largest of the three pairwise two-row
-    bounds, which the _FlatMedoidSearch takes as its candidates' first stale
-    bounds.
-
-    Sets medoids[key] of each cluster whose search ends within three rows
-    and returns a _FlatMedoidSearch carrying on the others, or None.
+    is one sweep from every cluster. After each row the bounds of every
+    member come from row-wise sorts (_abs_sums): the one-row bound, the
+    two-row bound, then the largest of the three pairwise two-row bounds,
+    which the returned _FlatMedoidSearch takes as its candidates' first
+    stale bounds. A cluster whose search ends within three rows enters it
+    with no candidate.
     """
     starts, cluster = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
     blocks = _sort_blocks(starts, sizes)
     largest = 2 * sizes * np.maximum.reduceat(row, starts)  # 2 * c * ecc
     best_sum, best = np.full(len(keys), np.inf), np.zeros(len(keys), dtype=np.int64)
-    rows, pair = [], None
+    rows = []
     open_ = np.ones(len(ids), dtype=bool)
     for r in range(3):
+        if r:
+            p = _first_max(row if r == 1 else np.minimum(rows[0], row), starts, cluster)
+            row = _sweep(within, ids[starts + p])[ids]
         rows.append(row)
         total = _totals(row, sizes)
         better = (total < best_sum) | ((total == best_sum) & (p < best))
@@ -582,24 +579,6 @@ def _first_rows(within: SurfaceGraph, keys: np.ndarray, ids: np.ndarray, sizes: 
             lower = np.maximum(pair, _pair_bounds(rows[0], row, blocks))
             np.maximum(lower, _pair_bounds(rows[1], row, blocks), out=lower)
         open_ &= lower <= (best_sum + _PRUNE_PAD * largest)[cluster]
-        still = np.bincount(cluster[open_], minlength=len(keys)) > 0
-        medoids[keys[~still]] = ids[starts + best][~still]
-        if not still.all():
-            kept = still[cluster]
-            keys, sizes, best_sum, best, largest = (
-                x[still] for x in (keys, sizes, best_sum, best, largest))
-            ids, row, open_, lower = ids[kept], row[kept], open_[kept], lower[kept]
-            rows = [x[kept] for x in rows]
-            pair = pair[kept] if pair is not None else None
-            starts, cluster = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
-        if r == 2 or not len(keys):
-            break
-        if not still.all():  # the new layout's, once another row needs them
-            blocks = _sort_blocks(starts, sizes)
-        p = _first_max(row if r == 0 else np.minimum(rows[0], row), starts, cluster)
-        row = _sweep(within, ids[starts + p])[ids]
-    if not len(keys):
-        return None
     candidates = np.flatnonzero(open_)
     return _FlatMedoidSearch(keys, ids, sizes, rows, candidates, lower[candidates],
                              best_sum, best, _ROW_PAD * largest)
@@ -667,13 +646,11 @@ def comp_centroids(graph: SurfaceGraph, assignment: np.ndarray,
         flat = flat[np.argsort(place[cluster[flat]], kind="stable")][:counts[keys].sum()]
         ids = order[flat]
         p = np.flatnonzero(ids == anchors[cluster[flat]]) - (np.cumsum(counts[keys]) - counts[keys])
-        search = _first_rows(within, keys, ids, counts[keys], row[flat], p, medoids)
-        if search is not None:
-            going = search.prune()
-            while going:
-                going = search.take(_sweep(within, search.sources))
-            done, found = search.medoids()
-            medoids[done] = found
+        search = _first_rows(within, keys, ids, counts[keys], row[flat], p)
+        going = search.prune()
+        while going:
+            going = search.take(_sweep(within, search.sources))
+        medoids[keys] = search.medoids()
     return medoids.tolist()
 
 
@@ -699,9 +676,7 @@ def parallel_kmeans(graph: SurfaceGraph, blocks: list[Block]) -> LockstepResult:
     the same inputs. Each medoid update reuses the assignment's distance
     field (see comp_centroids).
     """
-    for b in blocks:
-        if b.k > len(b.ids):
-            raise ValueError(f"k={b.k} exceeds vertex count {len(b.ids)}")
+    _check_blocks(graph, blocks)
     t0 = time.perf_counter()
     results: list[KmeansResult | None] = [None] * len(blocks)
     for i, b in enumerate(blocks):
@@ -711,7 +686,7 @@ def parallel_kmeans(graph: SurfaceGraph, blocks: list[Block]) -> LockstepResult:
                                       centroids=[], iterations=0, converged_by_tolerance=False,
                                       last_shift_mm=0.0, euclidean_fallbacks=0)
     active = [i for i, r in enumerate(results) if r is None]
-    centroids = (dict(zip(active, kmeanspp_init(graph, [blocks[i] for i in active])))
+    centroids = (dict(zip(active, _seeds(graph, [blocks[i] for i in active])))
                  if active else {})
     energy = {i: [] for i in active}
     fallbacks_total = dict.fromkeys(active, 0)

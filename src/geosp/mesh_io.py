@@ -38,8 +38,13 @@ class TriangleMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        self.vertices = np.asarray(self.vertices, dtype=np.float64)
+        self.triangles = np.asarray(self.triangles, dtype=np.int64)
+        if not self.triangles.size:
+            self.triangles = self.triangles.reshape(0, 3)
+        for name, a in (("vertices", self.vertices), ("triangles", self.triangles)):
+            if a.ndim != 2 or a.shape[1] != 3:
+                raise ValueError(f"{name} must have shape (n, 3), got {a.shape}")
         if len(self.vertices) == 0:
             raise ValueError("mesh must have at least one vertex")
         if not np.isfinite(self.vertices).all():

@@ -50,7 +50,11 @@ class SurfaceGraph:
     """
 
     def __init__(self, positions, edge_u, edge_v, edge_weights):
-        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        positions = np.asarray(positions, dtype=np.float64)
+        if positions.ndim != 2 or positions.shape[1] != 3:
+            raise ValueError(f"positions must have shape (n, 3), got {positions.shape}")
+        if not np.isfinite(positions).all():
+            raise ValueError("vertex positions must be finite")
         u = np.asarray(edge_u, dtype=np.int64).ravel()
         v = np.asarray(edge_v, dtype=np.int64).ravel()
         w = np.asarray(edge_weights, dtype=np.float64).ravel()

@@ -224,4 +224,4 @@ class EagerMedoidSearches:
         return bool(self.open)
 
     def medoids(self):
-        return self.keys, np.array([search.medoid for search in self.searches])
+        return np.array([search.medoid for search in self.searches])

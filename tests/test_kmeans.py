@@ -492,6 +492,50 @@ def test_refresh_goes_on_through_stale_bounds_tied_with_the_smallest(monkeypatch
     assert flat.prune() and flat.sources.tolist() == [1]
 
 
+def test_clusters_done_within_three_rows_stay_in_the_search_without_candidates():
+    # Clusters of 2 and 3 members on the top row of a grid beside one of
+    # all the rest: the small ones have evaluated or pruned every member
+    # after the first three rows, which sweep every cluster.
+    g = perturb_weights(build_graph(grid_mesh(12, 12)), rng_seed=5)
+    assignment = np.full(g.vertex_count, 2)
+    assignment[[0, 1]], assignment[[5, 6, 7]] = 0, 1
+    centroids = [1, 5, 100]
+    medoids, sources = _medoid_sources(g, assignment, centroids, None, kmeans._FlatMedoidSearch)
+    assert [len(s) for s in sources[:3]] == [3, 3, 3]
+    assert len(sources) > 3  # the large cluster goes on
+    assert all(assignment[s].tolist() == [2] for s in sources[3:])
+    for i, c in enumerate(centroids):
+        assert medoids[i] == oracle_medoid(g, np.flatnonzero(assignment == i), previous_centroid=c)
+
+
+def test_flat_search_rows_come_from_clusters_with_candidates():
+    # Cluster 7 (4 members) is done and has no candidate; cluster 2 (3
+    # members on a unit path) has three copies of its member 0's row and
+    # members 1 and 2 open. Their fresh bounds are 2 and 3 against the best
+    # sum 3, so its next row is its member 1's.
+    rows = np.tile([0.0, 1, 2, 3, 0, 1, 2], (3, 1))
+    search = kmeans._FlatMedoidSearch(np.array([7, 2]), np.arange(10, 17), np.array([4, 3]),
+                                      rows, np.array([5, 6]), np.zeros(2), np.array([6.0, 3.0]),
+                                      np.array([1, 0]), np.array([1e-9, 1e-9]))
+    assert search.prune() and search.sources.tolist() == [15]
+    field = np.full(17, np.inf)  # a sweep from vertex 15 over the cut graph
+    field[14:] = [1.0, 0.0, 1.0]
+    assert not search.take(field)  # member 2's bound is now 3, above the new best sum 2
+    assert search.rows[3].tolist() == [0, 0, 0, 0, 1, 0, 1, 0]  # cluster 7's columns unwritten
+    assert search.medoids().tolist() == [11, 15]  # of clusters 7 and 2
+
+
+def test_row_buffer_restores_the_huge_page_hint():
+    for hint in (True, False):
+        previous = kmeans._set_madvise_hugepage(hint)
+        try:
+            rows = kmeans._row_buffer(4, 3)
+            assert kmeans._set_madvise_hugepage(hint) == hint
+        finally:
+            kmeans._set_madvise_hugepage(previous)
+        assert rows.dtype == np.float32 and rows.shape == (4, 3) and not rows.any()
+
+
 def _medoid_sources(graph, assignment, centroids, dist, search):
     """comp_centroids with `search` as kmeans._FlatMedoidSearch: the medoids
     and the sources of every medoid sweep, round by round."""
@@ -681,6 +725,31 @@ def test_parallel_kmeans_k1_single_group():
 def test_parallel_kmeans_k_too_large():
     with pytest.raises(ValueError):
         kmeans_alone(path_graph(3), KmeansConfig(k=4))
+
+
+@pytest.mark.parametrize("function", [parallel_kmeans, kmeanspp_init])
+def test_malformed_blocks_rejected(function):
+    g = build_graph(grid_mesh(6, 6))
+    half = np.arange(18)  # the grid's first three rows
+    cases = [
+        ([Block(np.arange(5), KmeansConfig(k=2))], "edge leaves a block.*cut_graph"),
+        ([Block(half, KmeansConfig(k=2)), Block(np.arange(12, 36), KmeansConfig(k=2))],
+         "block 1 shares vertices with block 0"),
+        ([Block(half, KmeansConfig(k=2)), Block(np.arange(18, 36), KmeansConfig(k=2))],
+         "edge leaves a block"),
+        ([Block(np.array([0, 0, 1, 2, 3, 4]), KmeansConfig(k=2))], "strictly increasing 1-D integer"),
+        ([Block(np.append(np.arange(36), 99), KmeansConfig(k=1))], r"in \[0, 36\)"),
+        ([Block(np.arange(36.0), KmeansConfig(k=2))], "strictly increasing 1-D integer"),
+        ([Block(np.arange(36).reshape(6, 6), KmeansConfig(k=2))], "strictly increasing 1-D integer"),
+        ([Block(np.arange(36), KmeansConfig(k=37))], r"k=37 must be in \[1, 36\]"),
+        ([Block(np.arange(0), KmeansConfig(k=1))], r"k=1 must be in \[1, 0\]"),
+    ]
+    for blocks, message in cases:
+        with pytest.raises(ValueError, match=message):
+            function(g, blocks)
+    halves = cut_graph(g, np.arange(36) // 18)
+    assert function(halves, [Block(half, KmeansConfig(k=2)),
+                             Block(np.arange(18, 36), KmeansConfig(k=3))])
 
 
 def test_bridge_partition_from_any_centroid_pair():

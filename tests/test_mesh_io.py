@@ -244,6 +244,17 @@ def test_mesh_invariants_checked():
         TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, np.nan, 0]]), np.array([[0, 1, 2]]))
 
 
+def test_mesh_arrays_must_have_three_columns():
+    square = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    with pytest.raises(ValueError, match=r"triangles must have shape \(n, 3\), got \(3, 2\)"):
+        TriangleMesh(square, np.array([[0, 1], [2, 0], [1, 3]]))
+    with pytest.raises(ValueError, match=r"vertices must have shape \(n, 3\), got \(6, 2\)"):
+        TriangleMesh(np.zeros((6, 2)), np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match=r"triangles must have shape \(n, 3\), got \(3,\)"):
+        TriangleMesh(square, np.array([0, 1, 2]))
+    assert TriangleMesh(square, []).triangles.shape == (0, 3)  # no triangles: any empty shape
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["off", "ply"]))
 def test_roundtrip_identity_on_random_meshes(tmp_path_factory, seed, fmt):

@@ -72,6 +72,18 @@ def test_graph_rejects_bad_edges():
         SurfaceGraph(pos, [0, 1], [1, 2], [1.0, np.nan])
 
 
+def test_graph_rejects_bad_positions():
+    with pytest.raises(ValueError, match=r"positions must have shape \(n, 3\), got \(3, 2\)"):
+        SurfaceGraph(np.zeros((3, 2)), [0], [1], [1.0])
+    with pytest.raises(ValueError, match=r"got \(9,\)"):
+        SurfaceGraph(np.zeros(9), [0], [1], [1.0])
+    for bad in (np.nan, np.inf):
+        pos = np.zeros((3, 3))
+        pos[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SurfaceGraph(pos, [0], [1], [1.0])
+
+
 def _lexsort_construction(n, u, v, w):
     """Edge and CSR arrays as SurfaceGraph built them with a hash np.unique
     duplicate check and a lexsort of the directed edges."""
